@@ -16,10 +16,12 @@
 //     caches stay valid (kStatsFormatVersion not bumped).
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "raccd/apps/md5_core.hpp"
 #include "raccd/cache/l1_cache.hpp"
 #include "raccd/cache/llc_bank.hpp"
 #include "raccd/coherence/directory.hpp"
@@ -374,6 +376,147 @@ TEST(ThroughputGolden, LegacyAndFlatStructuresBitIdenticalStats) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_FALSE(legacy_text[i].empty());
     EXPECT_EQ(legacy_text[i], flat_text[i]) << specs[i].key();
+  }
+}
+
+/// The pinned grid: both workload families at tiny x every coherence mode x
+/// flat/numa2 x simple/ddr, plus a 1:8 directory under ADR (directory
+/// resize) for FullCoh and RaCCD, plus an open-loop service run.
+std::vector<RunSpec> pinned_grid() {
+  std::vector<RunSpec> specs;
+  const CohMode modes[] = {CohMode::kFullCoh, CohMode::kPT, CohMode::kRaCCD, CohMode::kWbNC};
+  for (const char* app : {"jacobi", "synthetic"}) {
+    for (const CohMode mode : modes) {
+      for (const char* topo : {"flat", "numa2"}) {
+        for (const char* dram : {"simple", "ddr"}) {
+          RunSpec s;
+          s.app = app;
+          s.size = SizeClass::kTiny;
+          s.mode = mode;
+          s.topo = topo;
+          s.dram = dram;
+          specs.push_back(s);
+        }
+      }
+    }
+    for (const CohMode mode : {CohMode::kFullCoh, CohMode::kRaCCD}) {
+      RunSpec s;
+      s.app = app;
+      s.size = SizeClass::kTiny;
+      s.mode = mode;
+      s.dir_ratio = 8;
+      s.adr = true;
+      specs.push_back(s);
+    }
+  }
+  RunSpec service;
+  EXPECT_EQ(service.set_workload_ref("service:requests=512,load=0.4"), "");
+  service.size = SizeClass::kTiny;
+  service.mode = CohMode::kRaCCD;
+  specs.push_back(service);
+  return specs;
+}
+
+/// MD5 of stats_to_text for every pinned_grid() spec, keyed by
+/// RunSpec::key(). Any change to the modelled machine shows up here.
+const std::unordered_map<std::string, std::string>& pinned_digests() {
+  static const std::unordered_map<std::string, std::string> kDigests = {
+      {"jacobi-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5",
+       "4d88d7f54231588f5424f49d7068d972"},
+      {"jacobi-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
+       "81757b073824567681b5912a47189278"},
+      {"jacobi-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
+       "5d030463033495d06fc255240f14d952"},
+      {"jacobi-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
+       "d8e60421dbe55d6a9e54ef32c558ed5b"},
+      {"jacobi-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5",
+       "ab43c16b2fa40f20b11715eea9893559"},
+      {"jacobi-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
+       "0109624ef895d751a78d996d3285b977"},
+      {"jacobi-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
+       "90a9a0749c337fccff4150614fc781eb"},
+      {"jacobi-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
+       "aa9600ce33927842fbdbc9552d2d442a"},
+      {"jacobi-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5",
+       "a6845d09cdc5fdc31310ad62b997233c"},
+      {"jacobi-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
+       "9781cc9722c62c10664b97706e6d8e2e"},
+      {"jacobi-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
+       "c3355a547d68b413f20f7c16e0b4ac65"},
+      {"jacobi-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
+       "1ae54bfc98d1338044b15c6507c5908f"},
+      {"jacobi-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5",
+       "193de8e22ef1b316389a1aacb1bc4ff0"},
+      {"jacobi-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
+       "3e9acea9ee69795cf3916e5310f6dc42"},
+      {"jacobi-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
+       "a395c748ae8978b6e6e32069c168d9ec"},
+      {"jacobi-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
+       "c9e8942286c0ecab2ce0f6c1270cc05e"},
+      {"jacobi-tiny-FullCoh-d8-adr-s42-nl1-ne32-cont-fifo-v5",
+       "2cb12cb66ab04269c14c9a0937dab749"},
+      {"jacobi-tiny-RaCCD-d8-adr-s42-nl1-ne32-cont-fifo-v5",
+       "cfc75ba40ff046364db85d04806be6a4"},
+      {"synthetic-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5",
+       "f1d69657cc8de54a10972f945ce412df"},
+      {"synthetic-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
+       "b54be585a873e2b42e4673ebbec7a6d8"},
+      {"synthetic-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
+       "a1749ee09eda70af4f0bff5f3f30fe4e"},
+      {"synthetic-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
+       "bf0d4a433ad5bd2794b5612ff9fb3c27"},
+      {"synthetic-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5",
+       "9221791501483514aefa00305bca20ca"},
+      {"synthetic-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
+       "aea351c26789a43eabca614f2f279e9b"},
+      {"synthetic-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
+       "298bbff715b2a2c7d9d70c9e3ed0a7a6"},
+      {"synthetic-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
+       "b1c14ad511a64c9e12a6f295cfc92e2c"},
+      {"synthetic-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5",
+       "bb67653f314a3ddb3720895ae7fd95ba"},
+      {"synthetic-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
+       "ae740cac2bd7f6f30fa050d1023d229f"},
+      {"synthetic-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
+       "84f808a086437d540dbfb5cb3c85d126"},
+      {"synthetic-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
+       "3c7298871744277af216856fe4f376a4"},
+      {"synthetic-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5",
+       "1c5fa28c6fa0fa182ce0e068dc0d8f72"},
+      {"synthetic-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
+       "100f263fc4649589f11f42130c92c753"},
+      {"synthetic-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
+       "54c735a2efb4ac2bcf6c0d294527ff73"},
+      {"synthetic-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
+       "4da43e7c261285bbecf06dd71e4415b6"},
+      {"synthetic-tiny-FullCoh-d8-adr-s42-nl1-ne32-cont-fifo-v5",
+       "b39edb1e6934aeac75b23e2124334db3"},
+      {"synthetic-tiny-RaCCD-d8-adr-s42-nl1-ne32-cont-fifo-v5",
+       "2a53496d3923b5dcceed6b57ce9e04d7"},
+      {"service-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-p{load=0.4,requests=512}",
+       "8e41d358624f552212cc4429c34aa4fd"},
+  };
+  return kDigests;
+}
+
+TEST(ThroughputGolden, PinnedGridStatsDigests) {
+  const std::vector<RunSpec> specs = pinned_grid();
+  ASSERT_EQ(specs.size(), 37u);
+  ASSERT_EQ(pinned_digests().size(), specs.size());
+
+  RunOptions opts;
+  opts.use_cache = false;  // every spec must actually simulate
+  opts.jobs = 2;
+  const std::vector<SimStats> stats = run_all(specs, opts);
+  ASSERT_EQ(stats.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string key = specs[i].key();
+    const std::string text = stats_to_text(stats[i]);
+    const std::string digest = apps::md5_hex(apps::md5_hash(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(text.data()), text.size())));
+    const auto it = pinned_digests().find(key);
+    ASSERT_NE(it, pinned_digests().end()) << "no pinned digest for " << key;
+    EXPECT_EQ(digest, it->second) << "stats changed for " << key << ":\n" << text;
   }
 }
 
