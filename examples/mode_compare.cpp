@@ -6,8 +6,7 @@
 // compare anything else, e.g.
 //   mode_compare 'synthetic:shape=pipeline,width=32' tracereplay jacobi
 // The sweep fans out over the work-stealing executor (--jobs=N / -jN,
-// default hardware concurrency; results are byte-identical to -j1) and
-// composes with --shard=i/N for multi-process scale-out.
+// default hardware concurrency; results are byte-identical to -j1).
 // Results also merge into results/BENCH_grid.json (machine-readable).
 #include <cstdio>
 #include <cstring>

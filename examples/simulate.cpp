@@ -153,13 +153,9 @@ int main(int argc, char** argv) {
       else if (m == "wbnc") spec.mode = CohMode::kWbNC;
       else { usage(); return 1; }
     } else if (std::strncmp(a, "--size=", 7) == 0) {
-      const std::string s = a + 7;
-      if (s == "tiny") spec.size = SizeClass::kTiny;
-      else if (s == "small") spec.size = SizeClass::kSmall;
-      else if (s == "medium") spec.size = SizeClass::kMedium;
-      else if (s == "paper") spec.size = SizeClass::kPaper;
-      else if (s == "large") spec.size = SizeClass::kLarge;
-      else { usage(); return 1; }
+      const std::optional<SizeClass> size = parse_size_class(a + 7);
+      if (!size) { usage(); return 1; }
+      spec.size = *size;
     } else if (std::strncmp(a, "--dir-ratio=", 12) == 0) {
       spec.dir_ratio = static_cast<std::uint32_t>(std::strtoul(a + 12, nullptr, 10));
     } else if (std::strcmp(a, "--adr") == 0) {

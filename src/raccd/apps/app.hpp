@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +37,15 @@ enum class SizeClass : std::uint8_t { kTiny, kSmall, kMedium, kPaper, kLarge };
     case SizeClass::kLarge: return "large";
   }
   return "?";
+}
+
+/// Inverse of to_string(SizeClass); nullopt for an unknown name.
+[[nodiscard]] constexpr std::optional<SizeClass> parse_size_class(std::string_view s) noexcept {
+  for (const SizeClass c : {SizeClass::kTiny, SizeClass::kSmall, SizeClass::kMedium,
+                            SizeClass::kPaper, SizeClass::kLarge}) {
+    if (s == to_string(c)) return c;
+  }
+  return std::nullopt;
 }
 
 struct AppConfig {

@@ -78,21 +78,6 @@ std::vector<SimStats> SweepExecutor::run(const std::vector<RunSpec>& specs,
     else dup.emplace_back(i, it->second);
   }
 
-  // Shard the deduped to-run list by position: deterministic for a given
-  // spec list, and every shard of the same sweep agrees on the partition.
-  if (opts_.shard_count > 1) {
-    RACCD_ASSERT(opts_.shard_index < opts_.shard_count, "shard index out of range");
-    std::vector<std::size_t> mine;
-    for (std::size_t slot = 0; slot < todo.size(); ++slot) {
-      if (slot % opts_.shard_count == opts_.shard_index) mine.push_back(todo[slot]);
-    }
-    if (opts_.verbose) {
-      std::fprintf(stderr, "shard %u/%u: %zu of %zu uncached runs\n", opts_.shard_index,
-                   opts_.shard_count, mine.size(), todo.size());
-    }
-    todo = std::move(mine);
-  }
-
   profile.deduped = dup.size();
 
   {
@@ -172,8 +157,7 @@ std::vector<SimStats> SweepExecutor::run(const std::vector<RunSpec>& specs,
       // Nothing to simulate (all cached): no workers, but the summary below
       // still reports the cache hits.
     } else if (jobs == 1) {
-      // Inline serial path: the historical behavior, and the only mode in
-      // which per-process RACCD_LEGACY_STRUCTURES A/B toggling is sound.
+      // Inline serial path: the historical behavior, on the calling thread.
       for (const std::size_t i : todo) {
         if (stop.load(std::memory_order_relaxed)) break;  // drain semantics
         run_slot(i, ProgressReporter::kNoWorker);

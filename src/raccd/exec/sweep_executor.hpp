@@ -29,8 +29,7 @@
 //    abort the process — those are simulator invariants, not run failures.
 //
 // jobs == 1 runs every spec inline on the calling thread (no pool, exactly
-// the historical serial path) — required for RACCD_LEGACY_STRUCTURES /
-// set_legacy_structures A/B toggling, which is per-process state.
+// the historical serial path).
 #pragma once
 
 #include <string>
@@ -51,8 +50,8 @@ class SweepExecutor {
   explicit SweepExecutor(const RunOptions& opts) : opts_(opts) {}
 
   /// Execute `specs`; results align with specs by index. Cached results are
-  /// loaded up front, the remainder is deduplicated, sharded (--shard=i/N),
-  /// and fanned over the pool. On failure the sweep stops issuing new work,
+  /// loaded up front, the remainder is deduplicated and fanned over
+  /// the pool. On failure the sweep stops issuing new work,
   /// drains, and the failed slots keep zeroed stats — check failures().
   [[nodiscard]] std::vector<SimStats> run(const std::vector<RunSpec>& specs,
                                           std::vector<Series>* series_out = nullptr);

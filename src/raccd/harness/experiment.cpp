@@ -200,35 +200,20 @@ std::vector<SimStats> run_all(const std::vector<RunSpec>& specs, const RunOption
 BenchOptions BenchOptions::parse(int argc, char** argv) {
   BenchOptions o;
   const auto apply_size = [&o](const char* v) {
-    if (std::strcmp(v, "tiny") == 0) o.size = SizeClass::kTiny;
-    if (std::strcmp(v, "small") == 0) o.size = SizeClass::kSmall;
-    if (std::strcmp(v, "medium") == 0) o.size = SizeClass::kMedium;
-    if (std::strcmp(v, "paper") == 0) o.size = SizeClass::kPaper;
-    if (std::strcmp(v, "large") == 0) o.size = SizeClass::kLarge;
+    const std::optional<SizeClass> size = parse_size_class(v);
+    if (!size) {
+      // Same reasoning as --set: a typo must not silently run the default.
+      std::fprintf(stderr, "--size %s: expected tiny|small|medium|paper|large\n", v);
+      std::exit(2);
+    }
+    o.size = *size;
   };
   if (const char* env = std::getenv("RACCD_SIZE")) apply_size(env);
   if (std::getenv("RACCD_PAPER") != nullptr) o.paper_machine = true;
   if (std::getenv("RACCD_NO_CACHE") != nullptr) o.run.use_cache = false;
-  // RACCD_THREADS is the legacy spelling of RACCD_JOBS; RACCD_JOBS wins.
-  if (const char* env = std::getenv("RACCD_THREADS")) {
-    o.run.jobs = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-  }
   if (const char* env = std::getenv("RACCD_JOBS")) {
     o.run.jobs = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
   }
-  const auto apply_shard = [&o](const char* text) {
-    char* end = nullptr;
-    const unsigned long idx = std::strtoul(text, &end, 10);
-    unsigned long cnt = 0;
-    if (end != nullptr && *end == '/') cnt = std::strtoul(end + 1, nullptr, 10);
-    if (cnt == 0 || idx >= cnt) {
-      std::fprintf(stderr, "--shard %s: expected i/N with i < N\n", text);
-      std::exit(2);
-    }
-    o.run.shard_index = static_cast<unsigned>(idx);
-    o.run.shard_count = static_cast<unsigned>(cnt);
-  };
-  if (const char* env = std::getenv("RACCD_SHARD")) apply_shard(env);
   const auto apply_set = [&o](const char* text) {
     WorkloadParams p;
     const std::string err = WorkloadParams::parse(text, p);
@@ -255,10 +240,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
       o.run.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strncmp(a, "-j", 2) == 0 && a[2] >= '0' && a[2] <= '9') {
       o.run.jobs = static_cast<unsigned>(std::strtoul(a + 2, nullptr, 10));
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {  // legacy alias
-      o.run.jobs = static_cast<unsigned>(std::strtoul(a + 10, nullptr, 10));
-    } else if (std::strncmp(a, "--shard=", 8) == 0) {
-      apply_shard(a + 8);
     } else if (std::strncmp(a, "--set=", 6) == 0) {
       apply_set(a + 6);
     } else if (std::strcmp(a, "--set") == 0 && i + 1 < argc) {

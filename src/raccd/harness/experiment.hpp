@@ -101,19 +101,11 @@ struct RunSpec {
 
 struct RunOptions {
   /// Worker threads for the sweep (--jobs). 0 = hardware concurrency;
-  /// 1 = serial inline on the calling thread (the historical behavior, and
-  /// required for per-process RACCD_LEGACY_STRUCTURES A/B toggling).
+  /// 1 = serial inline on the calling thread (the historical behavior).
   unsigned jobs = 0;
   bool use_cache = true;    ///< file-backed cache under cache_dir
   std::string cache_dir = "results/cache";
   bool verbose = false;     ///< progress lines to stderr
-  /// Deterministic work partition for fanning one sweep across machines:
-  /// shard k of N executes the deduped to-run list positions with
-  /// `slot % shard_count == shard_index`. Out-of-shard specs return cached
-  /// results when available and zeroed stats otherwise; merging is by run
-  /// key through the shared cache directory (or the bench JSON files).
-  unsigned shard_index = 0;
-  unsigned shard_count = 1;
 };
 
 /// Run all specs over the work-stealing executor (cache-aware); results
@@ -131,10 +123,9 @@ struct RunOptions {
 /// Common CLI/env options for the bench binaries:
 /// --size=tiny|small|medium|paper|large, --paper (machine preset),
 /// --topology=T, --dram=D, --sample=period/window[/warmup], --no-cache,
-/// --jobs=N / -jN (worker threads; --threads=N is a legacy alias),
-/// --verbose, --shard=i/N (deterministic sweep partition), and repeatable
-/// --set key=value workload-parameter passthrough (env: RACCD_SIZE,
-/// RACCD_PAPER, RACCD_NO_CACHE, RACCD_JOBS, RACCD_THREADS, RACCD_SHARD).
+/// --jobs=N / -jN (worker threads), --verbose, and repeatable --set
+/// key=value workload-parameter passthrough (env: RACCD_SIZE, RACCD_PAPER,
+/// RACCD_NO_CACHE, RACCD_JOBS). An unknown size or a malformed --set exits 2.
 struct BenchOptions {
   SizeClass size = SizeClass::kSmall;
   bool paper_machine = false;

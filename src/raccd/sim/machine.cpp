@@ -125,7 +125,6 @@ namespace {
 
 Machine::Machine(const SimConfig& cfg)
     : cfg_(finalized(cfg)),
-      legacy_(legacy_structures()),
       checker_(/*strict=*/true),
       fabric_(cfg_.fabric, cfg_.enable_checker ? &checker_ : nullptr),
       adr_(fabric_, cfg_.adr),
@@ -279,7 +278,7 @@ void Machine::taskwait() {
       // it can only send us down the slow path, never reorder steps).
       // A pending release at or before this clock also exits: the slow
       // path must perform the release before anything steps past it.
-      if (!legacy_ && !rt_.all_finished() &&
+      if (!rt_.all_finished() &&
           (run_heap_.empty() || ClockEntry{cores_[c].clock, c} < run_heap_.top()) &&
           !(rt_.next_release(due) && due <= cores_[c].clock)) {
         continue;

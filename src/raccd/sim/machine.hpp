@@ -176,12 +176,6 @@ class Machine {
   void snapshot_stats(Cycle at, SimStats& s) const;
 
   SimConfig cfg_;
-  /// RACCD_LEGACY_STRUCTURES: keep the one-heap-round-trip-per-step event
-  /// loop (A/B baseline for bench/throughput). The default loop keeps
-  /// stepping the minimum core without touching the heap while it provably
-  /// remains the minimum — identical step order by the same (clock, id)
-  /// tie-break, at a fraction of the host cost.
-  bool legacy_;
   CoherenceChecker checker_;
   Fabric fabric_;
   AdrController adr_;

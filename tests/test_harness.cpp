@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 
 #include "raccd/harness/experiment.hpp"
@@ -154,10 +155,28 @@ TEST(BenchOptions, JobsSpellings) {
     const char* argv[] = {"bench", "--jobs", "9"};
     EXPECT_EQ(BenchOptions::parse(3, const_cast<char**>(argv)).run.jobs, 9u);
   }
-  {  // legacy --threads=N alias still accepted
-    const char* argv[] = {"bench", "--threads=7"};
-    EXPECT_EQ(BenchOptions::parse(2, const_cast<char**>(argv)).run.jobs, 7u);
+}
+
+TEST(SizeClass, ParseInvertsToString) {
+  for (const SizeClass c : {SizeClass::kTiny, SizeClass::kSmall, SizeClass::kMedium,
+                            SizeClass::kPaper, SizeClass::kLarge}) {
+    EXPECT_EQ(parse_size_class(to_string(c)), c);
   }
+  EXPECT_EQ(parse_size_class("smal"), std::nullopt);
+  EXPECT_EQ(parse_size_class(""), std::nullopt);
+  EXPECT_EQ(parse_size_class("Tiny"), std::nullopt);
+}
+
+TEST(BenchOptionsDeathTest, UnknownSizeExitsWithMessage) {
+  const char* argv[] = {"bench", "--size=smal"};
+  EXPECT_EXIT((void)BenchOptions::parse(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "--size smal");
+  EXPECT_EXIT(
+      {
+        setenv("RACCD_SIZE", "bogus", 1);
+        (void)BenchOptions::parse(1, const_cast<char**>(argv));
+      },
+      ::testing::ExitedWithCode(2), "--size bogus");
 }
 
 }  // namespace

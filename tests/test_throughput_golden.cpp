@@ -1,21 +1,22 @@
-// Flat-structure equivalence suite: the hot-path structure swaps behind
-// bench/throughput (PagedLineMap, OpenPageMap, SoA tag probes, sorted+memo
-// NCRT) are host-side optimizations only — the modelled machine must be
-// bit-for-bit unchanged. Three layers of insurance:
+// Flat-structure equivalence suite: the hot-path structures (PagedLineMap,
+// OpenPageMap, SoA tag probes, sorted+memo NCRT) are host-side optimizations
+// only — the modelled machine must be bit-for-bit what the paper's
+// structures would produce. Three layers of insurance:
 //
-//  1. Unit tests of the new containers against their reference semantics
+//  1. Unit tests of the flat containers against their reference semantics
 //     (default-zero line map, open addressing with backward-shift deletion).
-//  2. Structure-level A/B: legacy and flat L1/LLC/directory/NCRT instances
-//     driven through identical operation sequences must agree on every
-//     observable (find results, victims, stats counters), including across
-//     directory resize.
-//  3. End-to-end golden: run_all over a tiny spec grid (both workload
-//     families, both systems, both topologies, both DRAM models) with the
-//     legacy structures and with the flat ones; stats_to_text must be
-//     byte-identical. Plus the pinned default cache key, so warm sweep
-//     caches stay valid (kStatsFormatVersion not bumped).
+//  2. Structure-level oracles: every L1/LLC/directory tag probe is checked
+//     against a brute-force scan of the valid entries (including across
+//     directory resize), and every NCRT lookup — answer and counters —
+//     against a linear scan of its registered regions.
+//  3. End-to-end golden: per-spec pinned digests of stats_to_text over a
+//     tiny grid (both workload families, every coherence mode, both
+//     topologies, both DRAM models, directory resize under ADR, an
+//     open-loop service run). Plus the pinned default cache key, so warm
+//     sweep caches stay valid (kStatsFormatVersion not bumped).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -34,17 +35,34 @@
 namespace raccd {
 namespace {
 
-/// RAII guard: run a scope under the given structures, restore after.
-class LegacyScope {
- public:
-  explicit LegacyScope(bool legacy) : prev_(legacy_structures()) {
-    set_legacy_structures(legacy);
-  }
-  ~LegacyScope() { set_legacy_structures(prev_); }
+/// Brute-force oracle for a tag probe: the valid entry holding `line`, found
+/// by scanning every valid entry of the structure (never more than one).
+template <typename Entry, typename Bank>
+const Entry* scan_find(const Bank& bank, LineAddr line) {
+  const Entry* hit = nullptr;
+  bank.for_each_valid([&](const Entry& e) {
+    if (e.line == line) {
+      EXPECT_EQ(hit, nullptr) << "line " << line << " resident twice";
+      hit = &e;
+    }
+  });
+  return hit;
+}
 
- private:
-  bool prev_;
-};
+/// Valid entries in `set`, by the same full scan.
+template <typename Entry, typename Bank>
+std::uint32_t scan_set_count(const Bank& bank, std::uint32_t set) {
+  std::uint32_t n = 0;
+  bank.for_each_valid([&](const Entry& e) { n += bank.set_of(e.line) == set ? 1 : 0; });
+  return n;
+}
+
+template <typename Entry, typename Bank>
+std::uint32_t scan_count(const Bank& bank) {
+  std::uint32_t n = 0;
+  bank.for_each_valid([&](const Entry&) { ++n; });
+  return n;
+}
 
 // ---------------------------------------------------------------------------
 // PagedLineMap
@@ -145,185 +163,212 @@ TEST(OpenPageMap, BackwardShiftKeepsCollidedKeysFindable) {
 }
 
 // ---------------------------------------------------------------------------
-// SoA tag probes vs legacy AoS scans
+// SoA tag probes vs brute-force scans
 
-TEST(SoaTags, L1LegacyAndFlatAgreeUnderRandomTraffic) {
-  LegacyScope scope(true);
-  L1Cache legacy{L1Geometry{}};
-  set_legacy_structures(false);
-  L1Cache flat{L1Geometry{}};
+TEST(SoaTags, L1FindMatchesScanUnderRandomTraffic) {
+  L1Cache l1{L1Geometry{}};
+  const L1Cache& view = l1;
   Rng rng(13);
   for (int i = 0; i < 50000; ++i) {
     const LineAddr line = rng.next_below(2048);  // 4x capacity: many conflicts
+    const L1Line* expect = scan_find<L1Line>(view, line);
+    ASSERT_EQ(view.find(line), expect) << "line " << line;
     switch (rng.next_below(3)) {
-      case 0: {
-        const L1Line* a = legacy.find(line);
-        const L1Line* b = flat.find(line);
-        ASSERT_EQ(a == nullptr, b == nullptr) << "line " << line;
-        if (a != nullptr) {
-          EXPECT_EQ(a->line, b->line);
-          EXPECT_EQ(a->version, b->version);
-        }
+      case 0:
+        if (expect != nullptr) l1.touch(*expect);
         break;
-      }
       case 1: {
-        if (legacy.find(line) == nullptr) {
-          const L1Line va = legacy.fill(line, false, Mesi::kShared, false, i);
-          const L1Line vb = flat.fill(line, false, Mesi::kShared, false, i);
-          EXPECT_EQ(va.valid, vb.valid);
-          EXPECT_EQ(va.line, vb.line);
+        if (expect != nullptr) break;
+        const bool full = scan_set_count<L1Line>(view, l1.set_of(line)) == l1.ways();
+        const L1Line victim = l1.fill(line, false, Mesi::kShared, false, i);
+        EXPECT_EQ(victim.valid, full);
+        if (victim.valid) {
+          EXPECT_EQ(l1.set_of(victim.line), l1.set_of(line));
+          EXPECT_EQ(view.find(victim.line), nullptr);
         }
+        const L1Line* got = view.find(line);
+        ASSERT_NE(got, nullptr);
+        EXPECT_EQ(got, scan_find<L1Line>(view, line));
+        EXPECT_EQ(got->version, static_cast<std::uint64_t>(i));
         break;
       }
       default: {
-        const L1Line va = legacy.invalidate(line);
-        const L1Line vb = flat.invalidate(line);
-        EXPECT_EQ(va.valid, vb.valid);
+        const L1Line old = l1.invalidate(line);
+        EXPECT_EQ(old.valid, expect != nullptr);
+        EXPECT_EQ(scan_find<L1Line>(view, line), nullptr);
         break;
       }
     }
+    ASSERT_EQ(l1.valid_lines(), scan_count<L1Line>(view));
   }
 }
 
-TEST(SoaTags, LlcLegacyAndFlatAgreeUnderRandomTraffic) {
+TEST(SoaTags, LlcFindMatchesScanUnderRandomTraffic) {
   LlcGeometry geo;
   geo.lines_per_bank = 512;
-  LegacyScope scope(true);
-  LlcBank legacy{geo};
-  set_legacy_structures(false);
-  LlcBank flat{geo};
+  LlcBank llc{geo};
+  const LlcBank& view = llc;
   Rng rng(14);
   for (int i = 0; i < 50000; ++i) {
     const LineAddr line = rng.next_below(4096) << geo.bank_bits;
+    const LlcLine* expect = scan_find<LlcLine>(view, line);
+    ASSERT_EQ(view.find(line), expect) << "line " << line;
     switch (rng.next_below(3)) {
-      case 0: {
-        const LlcLine* a = legacy.find(line);
-        const LlcLine* b = flat.find(line);
-        ASSERT_EQ(a == nullptr, b == nullptr) << "line " << line;
-        if (a != nullptr) {
-          EXPECT_EQ(a->version, b->version);
-        }
+      case 0:
+        if (expect != nullptr) llc.touch(*expect);
         break;
-      }
       case 1: {
-        if (legacy.find(line) == nullptr) {
-          const LlcLine va = legacy.peek_victim(line);
-          const LlcLine vb = flat.peek_victim(line);
-          EXPECT_EQ(va.valid, vb.valid);
-          EXPECT_EQ(va.line, vb.line);
-          if (va.valid) {
-            legacy.invalidate(va.line);
-            flat.invalidate(vb.line);
-          }
-          legacy.fill(line, false, false, i);
-          flat.fill(line, false, false, i);
+        if (expect != nullptr) break;
+        const LlcLine victim = llc.peek_victim(line);
+        // A victim is named exactly when the set is full.
+        EXPECT_EQ(victim.valid,
+                  scan_set_count<LlcLine>(view, llc.set_of(line)) == llc.ways());
+        if (victim.valid) {
+          EXPECT_EQ(llc.set_of(victim.line), llc.set_of(line));
+          EXPECT_TRUE(llc.invalidate(victim.line).valid);  // it was resident
         }
+        llc.fill(line, false, false, i);
+        ASSERT_EQ(view.find(line), scan_find<LlcLine>(view, line));
+        EXPECT_EQ(view.find(line)->version, static_cast<std::uint64_t>(i));
         break;
       }
       default: {
-        const LlcLine va = legacy.invalidate(line);
-        const LlcLine vb = flat.invalidate(line);
-        EXPECT_EQ(va.valid, vb.valid);
+        const LlcLine old = llc.invalidate(line);
+        EXPECT_EQ(old.valid, expect != nullptr);
+        EXPECT_EQ(scan_find<LlcLine>(view, line), nullptr);
         break;
       }
     }
+    ASSERT_EQ(llc.valid_lines(), scan_count<LlcLine>(view));
   }
 }
 
-TEST(SoaTags, DirectoryLegacyAndFlatAgreeAcrossResize) {
+TEST(SoaTags, DirectoryFindMatchesScanAcrossResize) {
   DirGeometry geo;
   geo.entries_per_bank = 256;
-  LegacyScope scope(true);
-  DirectoryBank legacy{geo};
-  set_legacy_structures(false);
-  DirectoryBank flat{geo};
+  DirectoryBank dir{geo};
+  const DirectoryBank& view = dir;
+  constexpr LineAddr kLines = 2048;
   Rng rng(15);
-  auto mirror_op = [&](LineAddr line, std::uint64_t op) {
+  auto random_op = [&](LineAddr line, std::uint64_t op) {
+    const DirEntry* expect = scan_find<DirEntry>(view, line);
+    ASSERT_EQ(view.find(line), expect) << "line " << line;
     switch (op) {
-      case 0: {
-        const DirEntry* a = legacy.find(line);
-        const DirEntry* b = flat.find(line);
-        ASSERT_EQ(a == nullptr, b == nullptr) << "line " << line;
-        if (a != nullptr) {
-          EXPECT_EQ(a->sharers, b->sharers);
-        }
+      case 0:
+        if (expect != nullptr) dir.touch(*expect);
         break;
-      }
       case 1: {
-        if (legacy.find(line) == nullptr) {
-          if (!legacy.has_free_way(line)) {
-            const DirEntry va = legacy.peek_victim(line);
-            const DirEntry vb = flat.peek_victim(line);
-            ASSERT_TRUE(va.valid);
-            EXPECT_EQ(va.line, vb.line);
-            legacy.remove(va.line);
-            flat.remove(vb.line);
-          }
-          legacy.alloc(line).sharers = line;
-          flat.alloc(line).sharers = line;
+        if (expect != nullptr) break;
+        const bool full = scan_set_count<DirEntry>(view, dir.set_of(line)) == dir.ways();
+        EXPECT_EQ(dir.has_free_way(line), !full);
+        if (full) {
+          const DirEntry victim = dir.peek_victim(line);
+          ASSERT_TRUE(victim.valid);
+          EXPECT_EQ(dir.set_of(victim.line), dir.set_of(line));
+          EXPECT_TRUE(dir.remove(victim.line));
         }
+        dir.alloc(line).sharers = line;
+        EXPECT_EQ(view.find(line), scan_find<DirEntry>(view, line));
         break;
       }
-      default: {
-        EXPECT_EQ(legacy.remove(line), flat.remove(line));
+      default:
+        EXPECT_EQ(dir.remove(line), expect != nullptr);
+        EXPECT_EQ(scan_find<DirEntry>(view, line), nullptr);
         break;
-      }
+    }
+    ASSERT_EQ(dir.valid_entries(), scan_count<DirEntry>(view));
+  };
+  auto traffic = [&] {
+    for (int i = 0; i < 20000; ++i) {
+      random_op(rng.next_below(kLines) << geo.bank_bits, rng.next_below(3));
     }
   };
-  for (int i = 0; i < 20000; ++i) {
-    mirror_op(rng.next_below(2048) << geo.bank_bits, rng.next_below(3));
-  }
-  // Power down (displacing overfull sets identically), traffic, power up.
-  for (const std::uint32_t sets : {legacy.active_sets() / 2, legacy.total_sets()}) {
-    std::vector<DirEntry> da, db;
-    EXPECT_EQ(legacy.resize(sets, da), flat.resize(sets, db));
-    ASSERT_EQ(da.size(), db.size());
-    for (std::size_t i = 0; i < da.size(); ++i) EXPECT_EQ(da[i].line, db[i].line);
-    EXPECT_EQ(legacy.valid_entries(), flat.valid_entries());
-    for (int i = 0; i < 20000; ++i) {
-      mirror_op(rng.next_below(2048) << geo.bank_bits, rng.next_below(3));
+  traffic();
+  // Power down (displacing overfull sets), traffic, power back up.
+  for (const std::uint32_t sets : {dir.active_sets() / 2, dir.total_sets()}) {
+    std::vector<LineAddr> before;
+    view.for_each_valid([&](const DirEntry& e) { before.push_back(e.line); });
+    std::vector<DirEntry> displaced;
+    const std::uint32_t moved = dir.resize(sets, displaced);
+    EXPECT_EQ(dir.active_sets(), sets);
+    EXPECT_EQ(dir.valid_entries(), moved);
+    // Every entry either survives (re-indexed, payload intact) or is handed
+    // back for recall because its new set overflowed.
+    std::vector<LineAddr> after;
+    view.for_each_valid([&](const DirEntry& e) {
+      after.push_back(e.line);
+      EXPECT_EQ(e.sharers, e.line);
+    });
+    for (const DirEntry& e : displaced) {
+      ASSERT_TRUE(e.valid);
+      EXPECT_EQ(e.sharers, e.line);
+      EXPECT_EQ(view.find(e.line), nullptr);
+      EXPECT_EQ(scan_set_count<DirEntry>(view, dir.set_of(e.line)), dir.ways());
+      after.push_back(e.line);
     }
+    std::sort(before.begin(), before.end());
+    std::sort(after.begin(), after.end());
+    EXPECT_EQ(before, after);
+    for (LineAddr l = 0; l < kLines; ++l) {
+      const LineAddr line = l << geo.bank_bits;
+      ASSERT_EQ(view.find(line), scan_find<DirEntry>(view, line)) << "line " << line;
+    }
+    traffic();
   }
 }
 
 // ---------------------------------------------------------------------------
-// NCRT: sorted early-exit + memo must be stats-neutral
+// NCRT: sorted early-exit + memo must answer — and count — like a linear scan
 
-TEST(NcrtMemo, AgreesWithLegacyScanIncludingStats) {
-  LegacyScope scope(true);
-  Ncrt legacy(32);
-  set_legacy_structures(false);
-  Ncrt flat(32);
+TEST(NcrtMemo, AgreesWithLinearScanIncludingStats) {
+  Ncrt ncrt(32);
   Rng rng(16);
-  // Insert in shuffled order (the sorted path reorders internally), then
-  // interleave lookups with occasional re-register cycles, exactly the
-  // frozen-between-register-and-invalidate usage the memo depends on.
-  auto fill_both = [&] {
+  std::uint64_t lookups = 0, hits = 0, inserts = 0, clears = 0;
+  const auto scan_contains = [&](PAddr pa) {
+    for (const AddrRange& r : ncrt.entries()) {
+      if (r.contains(pa)) return true;
+    }
+    return false;
+  };
+  const auto check = [&](PAddr pa) {
+    const bool expect = scan_contains(pa);
+    ASSERT_EQ(ncrt.lookup(pa), expect) << "pa " << pa;
+    ++lookups;
+    hits += expect ? 1 : 0;
+  };
+  for (int round = 0; round < 4; ++round) {
+    // Register in shuffled order (the table sorts internally). Each start is
+    // looked up just before its insert — a miss that memoizes the gap around
+    // it — and just after, so an insert must invalidate that memo.
     std::vector<std::uint64_t> starts;
     for (std::uint64_t i = 0; i < 24; ++i) starts.push_back(i * 0x1000);
     for (std::size_t i = starts.size(); i > 1; --i) {
       std::swap(starts[i - 1], starts[rng.next_below(i)]);
     }
-    for (const std::uint64_t s : starts) {
-      EXPECT_EQ(legacy.insert(s, s + 0x800), flat.insert(s, s + 0x800));
+    for (const std::uint64_t start : starts) {
+      check(start);
+      EXPECT_TRUE(ncrt.insert(start, start + 0x800));
+      ++inserts;
+      check(start);
     }
-  };
-  fill_both();
-  for (int round = 0; round < 4; ++round) {
+    EXPECT_TRUE(std::is_sorted(ncrt.entries().begin(), ncrt.entries().end(),
+                               [](const AddrRange& a, const AddrRange& b) {
+                                 return a.begin < b.begin;
+                               }));
     for (int i = 0; i < 20000; ++i) {
-      // Streams through regions (memo fast path) plus random probes.
-      const PAddr pa = (i % 3 == 0) ? rng.next_below(24 * 0x1000)
-                                    : (rng.next_below(24) * 0x1000 + (i & 0x7FF));
-      EXPECT_EQ(legacy.lookup(pa), flat.lookup(pa)) << "pa " << pa;
+      // Streams through regions (memo fast path) plus random probes that
+      // also land in the gaps between regions.
+      check((i % 3 == 0) ? rng.next_below(24 * 0x1000)
+                         : (rng.next_below(24) * 0x1000 + (i & 0x7FF)));
     }
-    EXPECT_EQ(legacy.stats().lookups, flat.stats().lookups);
-    EXPECT_EQ(legacy.stats().hits, flat.stats().hits);
-    legacy.clear();
-    flat.clear();
-    fill_both();
+    EXPECT_EQ(ncrt.stats().lookups, lookups);
+    EXPECT_EQ(ncrt.stats().hits, hits);
+    ncrt.clear();
+    ++clears;
   }
-  EXPECT_EQ(legacy.stats().inserts, flat.stats().inserts);
-  EXPECT_EQ(legacy.stats().clears, flat.stats().clears);
+  EXPECT_EQ(ncrt.stats().inserts, inserts);
+  EXPECT_EQ(ncrt.stats().clears, clears);
+  EXPECT_EQ(ncrt.stats().overflows, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -335,48 +380,6 @@ TEST(ThroughputGolden, DefaultRunSpecKeyIsPinned) {
   // format and kStatsFormatVersion survive.
   EXPECT_EQ(RunSpec{}.key(), "jacobi-small-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5");
   EXPECT_EQ(kStatsFormatVersion, 5u);
-}
-
-TEST(ThroughputGolden, LegacyAndFlatStructuresBitIdenticalStats) {
-  std::vector<RunSpec> specs;
-  for (const char* app : {"jacobi", "synthetic"}) {
-    for (const CohMode mode : {CohMode::kFullCoh, CohMode::kRaCCD}) {
-      for (const char* topo : {"flat", "numa2"}) {
-        RunSpec s;
-        s.app = app;
-        s.size = SizeClass::kTiny;
-        s.mode = mode;
-        s.topo = topo;
-        s.dram = (mode == CohMode::kRaCCD) ? "ddr" : "simple";
-        specs.push_back(s);
-      }
-    }
-  }
-
-  RunOptions opts;
-  opts.use_cache = false;  // both sweeps must actually simulate
-  opts.jobs = 2;
-
-  std::vector<std::string> legacy_text, flat_text;
-  {
-    LegacyScope scope(true);
-    for (const SimStats& s : run_all(specs, opts)) {
-      legacy_text.push_back(stats_to_text(s));
-    }
-  }
-  {
-    LegacyScope scope(false);
-    for (const SimStats& s : run_all(specs, opts)) {
-      flat_text.push_back(stats_to_text(s));
-    }
-  }
-
-  ASSERT_EQ(legacy_text.size(), specs.size());
-  ASSERT_EQ(flat_text.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_FALSE(legacy_text[i].empty());
-    EXPECT_EQ(legacy_text[i], flat_text[i]) << specs[i].key();
-  }
 }
 
 /// The pinned grid: both workload families at tiny x every coherence mode x
