@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "raccd/harness/experiment.hpp"
 #include "raccd/harness/sweep_cache.hpp"
@@ -59,6 +61,48 @@ TEST(StatsIo, RoundTrip) {
   EXPECT_DOUBLE_EQ(back->fabric.e_dir_pj, 3.14159);
   EXPECT_EQ(back->noc.per_class[1].flit_hops, 77u);
   EXPECT_DOUBLE_EQ(back->avg_dir_occupancy, 0.123456789);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// A committed v5 entry holding every key, the sampling and service blocks
+// included. Line n (1-based, `format=5` is line 1) holds n for integers and
+// n + 0.25 for doubles, except `mode` (a real CohMode, 3 = WbNC) and
+// `adr_enabled` (1). Loading and re-serializing it must reproduce it byte
+// for byte: this pins every v5 key name, its type, and both gated blocks.
+TEST(StatsIo, GoldenEntryRoundTripsByteForByte) {
+  const std::string golden = read_file(RACCD_TEST_DATA_DIR "/stats_v5_golden.stats");
+  ASSERT_FALSE(golden.empty());
+  const auto s = stats_from_text(golden);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(stats_to_text(*s), golden);
+
+  // One member per struct, read back from the line that holds it.
+  EXPECT_EQ(s->mode, CohMode::kWbNC);
+  EXPECT_TRUE(s->adr_enabled);
+  EXPECT_EQ(s->dir_ratio, 30u);
+  EXPECT_EQ(s->cycles, 19u);
+  EXPECT_DOUBLE_EQ(s->core_utilization, 17.25);
+  EXPECT_EQ(s->fabric.l1_hits, 58u);
+  EXPECT_DOUBLE_EQ(s->fabric.e_mem_pj, 42.25);
+  EXPECT_EQ(s->noc.per_class[2].flits, 95u);
+  EXPECT_EQ(s->noc.cross_socket.flit_hops, 103u);
+  EXPECT_EQ(s->noc.socket_link_flits, 107u);
+  EXPECT_EQ(s->ncrt.overflows, 87u);
+  EXPECT_EQ(s->tlb.misses, 153u);
+  EXPECT_EQ(s->pt.transitions, 111u);
+  EXPECT_EQ(s->adr.entries_moved, 6u);
+  EXPECT_EQ(s->sampling.active, 113u);
+  EXPECT_DOUBLE_EQ(s->sampling.scale, 126.25);
+  EXPECT_EQ(s->service.requests, 142u);
+  EXPECT_EQ(s->service.queueing.count, 136u);
+  EXPECT_DOUBLE_EQ(s->service.service.p95, 147.25);
+  EXPECT_DOUBLE_EQ(s->service.e2e.max, 131.25);
 }
 
 TEST(StatsIo, RejectsWrongVersion) {

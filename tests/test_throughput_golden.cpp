@@ -12,8 +12,8 @@
 //  3. End-to-end golden: per-spec pinned digests of stats_to_text over a
 //     tiny grid (both workload families, every coherence mode, both
 //     topologies, both DRAM models, directory resize under ADR, an
-//     open-loop service run). Plus the pinned default cache key, so warm
-//     sweep caches stay valid (kStatsFormatVersion not bumped).
+//     open-loop service run, a sampled run). Plus the pinned default cache
+//     key, so warm sweep caches stay valid (kStatsFormatVersion not bumped).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -384,7 +384,8 @@ TEST(ThroughputGolden, DefaultRunSpecKeyIsPinned) {
 
 /// The pinned grid: both workload families at tiny x every coherence mode x
 /// flat/numa2 x simple/ddr, plus a 1:8 directory under ADR (directory
-/// resize) for FullCoh and RaCCD, plus an open-loop service run.
+/// resize) for FullCoh and RaCCD, plus an open-loop service run, plus one
+/// sampled run (pins the sampled scale-up and the sampling cache keys).
 std::vector<RunSpec> pinned_grid() {
   std::vector<RunSpec> specs;
   const CohMode modes[] = {CohMode::kFullCoh, CohMode::kPT, CohMode::kRaCCD, CohMode::kWbNC};
@@ -417,6 +418,12 @@ std::vector<RunSpec> pinned_grid() {
   service.size = SizeClass::kTiny;
   service.mode = CohMode::kRaCCD;
   specs.push_back(service);
+  RunSpec sampled;
+  sampled.app = "jacobi";
+  sampled.size = SizeClass::kTiny;
+  sampled.mode = CohMode::kRaCCD;
+  sampled.sampling = "8/2";
+  specs.push_back(sampled);
   return specs;
 }
 
@@ -498,13 +505,15 @@ const std::unordered_map<std::string, std::string>& pinned_digests() {
        "2a53496d3923b5dcceed6b57ce9e04d7"},
       {"service-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-p{load=0.4,requests=512}",
        "8e41d358624f552212cc4429c34aa4fd"},
+      {"jacobi-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-smp8-2-1",
+       "0ef83bf8282c75c45b73e033b840e612"},
   };
   return kDigests;
 }
 
 TEST(ThroughputGolden, PinnedGridStatsDigests) {
   const std::vector<RunSpec> specs = pinned_grid();
-  ASSERT_EQ(specs.size(), 37u);
+  ASSERT_EQ(specs.size(), 38u);
   ASSERT_EQ(pinned_digests().size(), specs.size());
 
   RunOptions opts;
