@@ -5,6 +5,7 @@
 
 #include <cstdint>
 
+#include "raccd/common/field_list.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
@@ -16,60 +17,57 @@ struct AccessOutcome {
   bool llc_hit = false;  ///< meaningful only when !l1_hit
 };
 
+#define RACCD_FABRIC_STATS_FIELDS(X)                                                             \
+  /* L1 (aggregated over cores) */                                                               \
+  X(std::uint64_t, l1_accesses) X(std::uint64_t, l1_hits) X(std::uint64_t, l1_misses)            \
+  X(std::uint64_t, l1_evictions) X(std::uint64_t, l1_wb_coh) X(std::uint64_t, l1_wb_nc)          \
+  X(std::uint64_t, l1_invals_sharer) /* invalidations from GetX/upgrades */                      \
+  X(std::uint64_t, l1_invals_recall) /* invalidations from directory/LLC recalls */              \
+  X(std::uint64_t, l1_flush_nc_lines) X(std::uint64_t, l1_flush_nc_wbs) /* raccd_invalidate */   \
+  X(std::uint64_t, l1_flush_page_lines) X(std::uint64_t, l1_flush_page_wbs) /* PT recovery */    \
+  /* LLC: hit-rate denominators count only demand lookups from L1 misses. */                     \
+  X(std::uint64_t, llc_lookups) X(std::uint64_t, llc_hits) X(std::uint64_t, llc_misses)          \
+  X(std::uint64_t, llc_nc_lookups) X(std::uint64_t, llc_nc_hits)                                 \
+  X(std::uint64_t, llc_fills) X(std::uint64_t, llc_evictions)                                    \
+  X(std::uint64_t, llc_inval_by_dir) X(std::uint64_t, llc_wb_mem)                                \
+  X(std::uint64_t, llc_touches) /* every array access (energy basis) */                          \
+  /* Directory. dir_accesses counts every read/update of the structure and is */                 \
+  /* the paper's Fig. 7a metric and the dynamic-energy basis. */                                 \
+  X(std::uint64_t, dir_accesses)                                                                 \
+  X(std::uint64_t, dir_lookups) X(std::uint64_t, dir_hits) X(std::uint64_t, dir_misses)          \
+  X(std::uint64_t, dir_allocs) X(std::uint64_t, dir_evictions) X(std::uint64_t, dir_recall_msgs) \
+  X(std::uint64_t, dir_wb_updates)                                                               \
+  X(std::uint64_t, dir_nc_to_coh) /* NC LLC line re-tracked on coherent access */                \
+  X(std::uint64_t, dir_coh_to_nc) /* entry dropped on NC access (paper III-E) */                 \
+  /* Transactions */                                                                             \
+  X(std::uint64_t, coh_reads) X(std::uint64_t, coh_writes) X(std::uint64_t, upgrades)            \
+  X(std::uint64_t, nc_reads) X(std::uint64_t, nc_writes)                                         \
+  X(std::uint64_t, owner_probes)                                                                 \
+  /* Socket locality (always zero on single-socket topologies): transactions */                  \
+  /* whose requesting core and home bank sit on different sockets. */                            \
+  X(std::uint64_t, dir_reqs_cross_socket) /* coherent misses + upgrades */                       \
+  X(std::uint64_t, nc_reqs_cross_socket) /* directory-bypassing NC requests */                   \
+  /* Memory */                                                                                   \
+  X(std::uint64_t, mem_reads) X(std::uint64_t, mem_writes)                                       \
+  X(std::uint64_t, mem_wb_wait_cycles) /* writeback NoC leg + write-queue wait */                \
+  /* DRAM (dram/dram.hpp; all zero under the default kSimple flat-latency */                     \
+  /* model). Row-buffer outcome of every serviced request, and the cycles */                     \
+  /* read requests spent waiting before service (queues, write drains, bank */                   \
+  /* conflicts, issue ordering). */                                                              \
+  X(std::uint64_t, dram_row_hits) X(std::uint64_t, dram_row_misses)                              \
+  X(std::uint64_t, dram_row_conflicts) X(std::uint64_t, dram_queue_wait_cycles)                  \
+  /* Dynamic energy (pJ) */                                                                      \
+  X(double, e_dir_pj) X(double, e_llc_pj) X(double, e_l1_pj)                                     \
+  X(double, e_noc_pj) X(double, e_mem_pj)                                                        \
+  /* DRAM per-op split of e_mem_pj under the kDdr model (replaces the flat */                    \
+  /* mem_access_pj): activate / column-read / column-write / precharge. */                       \
+  X(double, e_mem_act_pj) X(double, e_mem_rd_pj)                                                 \
+  X(double, e_mem_wr_pj) X(double, e_mem_pre_pj)
+
 struct FabricStats {
-  // L1 (aggregated over cores)
-  std::uint64_t l1_accesses = 0, l1_hits = 0, l1_misses = 0;
-  std::uint64_t l1_evictions = 0, l1_wb_coh = 0, l1_wb_nc = 0;
-  std::uint64_t l1_invals_sharer = 0;  ///< invalidations from GetX/upgrades
-  std::uint64_t l1_invals_recall = 0;  ///< invalidations from directory/LLC recalls
-  std::uint64_t l1_flush_nc_lines = 0, l1_flush_nc_wbs = 0;    ///< raccd_invalidate
-  std::uint64_t l1_flush_page_lines = 0, l1_flush_page_wbs = 0;  ///< PT recovery
+  RACCD_FIELDS(FabricStats, RACCD_FABRIC_STATS_FIELDS)
 
-  // LLC: hit-rate denominators count only demand lookups from L1 misses.
-  std::uint64_t llc_lookups = 0, llc_hits = 0, llc_misses = 0;
-  std::uint64_t llc_nc_lookups = 0, llc_nc_hits = 0;
-  std::uint64_t llc_fills = 0, llc_evictions = 0, llc_inval_by_dir = 0, llc_wb_mem = 0;
-  std::uint64_t llc_touches = 0;  ///< every array access (energy basis)
-
-  // Directory. dir_accesses counts every read/update of the structure and is
-  // the paper's Fig. 7a metric and the dynamic-energy basis.
-  std::uint64_t dir_accesses = 0;
-  std::uint64_t dir_lookups = 0, dir_hits = 0, dir_misses = 0;
-  std::uint64_t dir_allocs = 0, dir_evictions = 0, dir_recall_msgs = 0;
-  std::uint64_t dir_wb_updates = 0;
-  std::uint64_t dir_nc_to_coh = 0;  ///< NC LLC line re-tracked on coherent access
-  std::uint64_t dir_coh_to_nc = 0;  ///< entry dropped on NC access (paper III-E)
-
-  // Transactions
-  std::uint64_t coh_reads = 0, coh_writes = 0, upgrades = 0;
-  std::uint64_t nc_reads = 0, nc_writes = 0;
-  std::uint64_t owner_probes = 0;
-
-  // Socket locality (always zero on single-socket topologies): transactions
-  // whose requesting core and home bank sit on different sockets.
-  std::uint64_t dir_reqs_cross_socket = 0;  ///< coherent misses + upgrades
-  std::uint64_t nc_reqs_cross_socket = 0;   ///< directory-bypassing NC requests
-
-  // Memory
-  std::uint64_t mem_reads = 0, mem_writes = 0;
-  /// Writeback delivery: NoC leg to the controller plus write-queue wait
-  /// (the latency mem_writeback used to drop on the floor).
-  std::uint64_t mem_wb_wait_cycles = 0;
-
-  // DRAM (dram/dram.hpp; all zero under the default kSimple flat-latency
-  // model). Row-buffer outcome of every serviced request, and the cycles
-  // read requests spent waiting before service (queues, write drains, bank
-  // conflicts, issue ordering).
-  std::uint64_t dram_row_hits = 0, dram_row_misses = 0, dram_row_conflicts = 0;
-  std::uint64_t dram_queue_wait_cycles = 0;
-
-  // Dynamic energy (pJ)
-  double e_dir_pj = 0.0, e_llc_pj = 0.0, e_l1_pj = 0.0, e_noc_pj = 0.0, e_mem_pj = 0.0;
-  /// DRAM per-op split of e_mem_pj under the kDdr model (replaces the flat
-  /// mem_access_pj): activate / column-read / column-write / precharge.
-  double e_mem_act_pj = 0.0, e_mem_rd_pj = 0.0, e_mem_wr_pj = 0.0, e_mem_pre_pj = 0.0;
-
-  void add(const FabricStats& o) noexcept;
+  void add(const FabricStats& o) noexcept { add_fields(*this, o); }
   [[nodiscard]] double llc_hit_ratio() const noexcept {
     return llc_lookups == 0 ? 0.0
                             : static_cast<double>(llc_hits) / static_cast<double>(llc_lookups);

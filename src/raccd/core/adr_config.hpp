@@ -5,6 +5,7 @@
 
 #include <cstdint>
 
+#include "raccd/common/field_list.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
@@ -18,13 +19,16 @@ struct AdrConfig {
   std::uint32_t min_sets_divisor = 256;
 };
 
+#define RACCD_ADR_STATS_FIELDS(X)     \
+  X(std::uint64_t, polls)             \
+  X(std::uint64_t, grows)             \
+  X(std::uint64_t, shrinks)           \
+  X(std::uint64_t, entries_moved)     \
+  X(std::uint64_t, entries_displaced) \
+  X(Cycle, blocked_cycles)
+
 struct AdrStats {
-  std::uint64_t polls = 0;
-  std::uint64_t grows = 0;
-  std::uint64_t shrinks = 0;
-  std::uint64_t entries_moved = 0;
-  std::uint64_t entries_displaced = 0;
-  Cycle blocked_cycles = 0;
+  RACCD_FIELDS(AdrStats, RACCD_ADR_STATS_FIELDS)
 };
 
 }  // namespace raccd

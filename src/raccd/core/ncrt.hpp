@@ -13,16 +13,20 @@
 #include <cstdint>
 #include <vector>
 
+#include "raccd/common/field_list.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
 
+#define RACCD_NCRT_STATS_FIELDS(X)                                              \
+  X(std::uint64_t, lookups)                                                     \
+  X(std::uint64_t, hits)                                                        \
+  X(std::uint64_t, inserts)                                                     \
+  X(std::uint64_t, overflows) /* regions rejected because the table was full */ \
+  X(std::uint64_t, clears)
+
 struct NcrtStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t inserts = 0;
-  std::uint64_t overflows = 0;  ///< regions rejected because the table was full
-  std::uint64_t clears = 0;
+  RACCD_FIELDS(NcrtStats, RACCD_NCRT_STATS_FIELDS)
 };
 
 class Ncrt {

@@ -13,15 +13,19 @@
 #include <cstdint>
 #include <vector>
 
+#include "raccd/common/field_list.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
 
 enum class PageClass : std::uint8_t { kUntouched = 0, kPrivate, kShared };
 
+#define RACCD_PT_CLASSIFIER_STATS_FIELDS(X)                               \
+  X(std::uint64_t, first_touches)                                         \
+  X(std::uint64_t, transitions) /* private -> shared reclassifications */
+
 struct PtClassifierStats {
-  std::uint64_t first_touches = 0;
-  std::uint64_t transitions = 0;  ///< private -> shared reclassifications
+  RACCD_FIELDS(PtClassifierStats, RACCD_PT_CLASSIFIER_STATS_FIELDS)
 };
 
 class PtClassifier {

@@ -70,14 +70,7 @@ Cycle RaccdEngine::invalidate(CoreId c) {
 
 NcrtStats RaccdEngine::total_stats() const noexcept {
   NcrtStats total;
-  for (const auto& n : ncrts_) {
-    const NcrtStats& s = n->stats();
-    total.lookups += s.lookups;
-    total.hits += s.hits;
-    total.inserts += s.inserts;
-    total.overflows += s.overflows;
-    total.clears += s.clears;
-  }
+  for (const auto& n : ncrts_) add_fields(total, n->stats());
   return total;
 }
 

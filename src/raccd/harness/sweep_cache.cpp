@@ -2,367 +2,193 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <map>
-#include <sstream>
+#include <limits>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "raccd/common/format.hpp"
 
 namespace raccd {
 namespace {
 
-// Field table: every serialized counter gets an explicit name. Doubles are
-// printed with full precision; integers as decimal.
-struct Fields {
-  std::map<std::string, std::string> kv;
+// The v5 text layout: `format=5`, then one `key=value` line per SimStats
+// leaf field, sorted by key. A key is its struct's prefix plus the member
+// name. A nested struct's prefix is "<outer prefix><member>_", except for
+// the spellings in spelled() and noc.per_class[i] = "noc<i>_". Integers are
+// decimal, doubles %.17g. The sampling and service blocks are written only
+// when their first field (`active`, `requests`) is non-zero, so detailed
+// batch entries keep the bytes they had before those blocks existed.
 
-  void put_u(const std::string& k, std::uint64_t v) { kv[k] = std::to_string(v); }
-  void put_d(const std::string& k, double v) { kv[k] = strprintf("%.17g", v); }
+/// Largest value an integer-typed field may hold.
+template <class T>
+constexpr std::uint64_t kMaxValue = std::numeric_limits<T>::max();
+template <>
+constexpr std::uint64_t kMaxValue<bool> = 1;
+template <>
+constexpr std::uint64_t kMaxValue<CohMode> = kAllBackends.size() - 1;
 
-  [[nodiscard]] std::uint64_t get_u(const std::string& k) const {
-    const auto it = kv.find(k);
-    return it == kv.end() ? 0 : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  [[nodiscard]] double get_d(const std::string& k) const {
-    const auto it = kv.find(k);
-    return it == kv.end() ? 0.0 : std::strtod(it->second.c_str(), nullptr);
-  }
-};
+/// Parses all of `v` as a T: no sign or space the type does not take, no
+/// trailing characters, no overflow.
+template <class T>
+bool parse_all(std::string_view v, T& out) {
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  return ec == std::errc() && end == v.data() + v.size();
+}
 
-void pack(const SimStats& s, Fields& f) {
-  f.put_u("mode", static_cast<std::uint64_t>(s.mode));
-  f.put_u("dir_ratio", s.dir_ratio);
-  f.put_u("adr_enabled", s.adr_enabled ? 1 : 0);
-  f.put_u("cycles", s.cycles);
-  f.put_u("busy_cycles", s.busy_cycles);
-  f.put_d("core_utilization", s.core_utilization);
-  const FabricStats& fb = s.fabric;
-  f.put_u("l1_accesses", fb.l1_accesses);
-  f.put_u("l1_hits", fb.l1_hits);
-  f.put_u("l1_misses", fb.l1_misses);
-  f.put_u("l1_evictions", fb.l1_evictions);
-  f.put_u("l1_wb_coh", fb.l1_wb_coh);
-  f.put_u("l1_wb_nc", fb.l1_wb_nc);
-  f.put_u("l1_invals_sharer", fb.l1_invals_sharer);
-  f.put_u("l1_invals_recall", fb.l1_invals_recall);
-  f.put_u("l1_flush_nc_lines", fb.l1_flush_nc_lines);
-  f.put_u("l1_flush_nc_wbs", fb.l1_flush_nc_wbs);
-  f.put_u("l1_flush_page_lines", fb.l1_flush_page_lines);
-  f.put_u("l1_flush_page_wbs", fb.l1_flush_page_wbs);
-  f.put_u("llc_lookups", fb.llc_lookups);
-  f.put_u("llc_hits", fb.llc_hits);
-  f.put_u("llc_misses", fb.llc_misses);
-  f.put_u("llc_nc_lookups", fb.llc_nc_lookups);
-  f.put_u("llc_nc_hits", fb.llc_nc_hits);
-  f.put_u("llc_fills", fb.llc_fills);
-  f.put_u("llc_evictions", fb.llc_evictions);
-  f.put_u("llc_inval_by_dir", fb.llc_inval_by_dir);
-  f.put_u("llc_wb_mem", fb.llc_wb_mem);
-  f.put_u("llc_touches", fb.llc_touches);
-  f.put_u("dir_accesses", fb.dir_accesses);
-  f.put_u("dir_lookups", fb.dir_lookups);
-  f.put_u("dir_hits", fb.dir_hits);
-  f.put_u("dir_misses", fb.dir_misses);
-  f.put_u("dir_allocs", fb.dir_allocs);
-  f.put_u("dir_evictions", fb.dir_evictions);
-  f.put_u("dir_recall_msgs", fb.dir_recall_msgs);
-  f.put_u("dir_wb_updates", fb.dir_wb_updates);
-  f.put_u("dir_nc_to_coh", fb.dir_nc_to_coh);
-  f.put_u("dir_coh_to_nc", fb.dir_coh_to_nc);
-  f.put_u("coh_reads", fb.coh_reads);
-  f.put_u("coh_writes", fb.coh_writes);
-  f.put_u("upgrades", fb.upgrades);
-  f.put_u("nc_reads", fb.nc_reads);
-  f.put_u("nc_writes", fb.nc_writes);
-  f.put_u("owner_probes", fb.owner_probes);
-  f.put_u("dir_reqs_cross_socket", fb.dir_reqs_cross_socket);
-  f.put_u("nc_reqs_cross_socket", fb.nc_reqs_cross_socket);
-  f.put_u("mem_reads", fb.mem_reads);
-  f.put_u("mem_writes", fb.mem_writes);
-  f.put_u("mem_wb_wait_cycles", fb.mem_wb_wait_cycles);
-  f.put_u("dram_row_hits", fb.dram_row_hits);
-  f.put_u("dram_row_misses", fb.dram_row_misses);
-  f.put_u("dram_row_conflicts", fb.dram_row_conflicts);
-  f.put_u("dram_queue_wait_cycles", fb.dram_queue_wait_cycles);
-  f.put_d("e_dir_pj", fb.e_dir_pj);
-  f.put_d("e_llc_pj", fb.e_llc_pj);
-  f.put_d("e_l1_pj", fb.e_l1_pj);
-  f.put_d("e_noc_pj", fb.e_noc_pj);
-  f.put_d("e_mem_pj", fb.e_mem_pj);
-  f.put_d("e_mem_act_pj", fb.e_mem_act_pj);
-  f.put_d("e_mem_rd_pj", fb.e_mem_rd_pj);
-  f.put_d("e_mem_wr_pj", fb.e_mem_wr_pj);
-  f.put_d("e_mem_pre_pj", fb.e_mem_pre_pj);
-  for (std::size_t c = 0; c < kMsgClassCount; ++c) {
-    const auto& pc = s.noc.per_class[c];
-    f.put_u(strprintf("noc%zu_messages", c), pc.messages);
-    f.put_u(strprintf("noc%zu_flits", c), pc.flits);
-    f.put_u(strprintf("noc%zu_flit_hops", c), pc.flit_hops);
-  }
-  f.put_u("noc_cross_messages", s.noc.cross_socket.messages);
-  f.put_u("noc_cross_flits", s.noc.cross_socket.flits);
-  f.put_u("noc_cross_flit_hops", s.noc.cross_socket.flit_hops);
-  f.put_u("noc_socket_link_flits", s.noc.socket_link_flits);
-  f.put_u("ncrt_lookups", s.ncrt.lookups);
-  f.put_u("ncrt_hits", s.ncrt.hits);
-  f.put_u("ncrt_inserts", s.ncrt.inserts);
-  f.put_u("ncrt_overflows", s.ncrt.overflows);
-  f.put_u("ncrt_clears", s.ncrt.clears);
-  f.put_u("tlb_lookups", s.tlb.lookups);
-  f.put_u("tlb_hits", s.tlb.hits);
-  f.put_u("tlb_misses", s.tlb.misses);
-  f.put_u("tlb_shootdowns", s.tlb.shootdowns);
-  f.put_u("tlb_evictions", s.tlb.evictions);
-  f.put_u("pt_first_touches", s.pt.first_touches);
-  f.put_u("pt_transitions", s.pt.transitions);
-  f.put_u("adr_polls", s.adr.polls);
-  f.put_u("adr_grows", s.adr.grows);
-  f.put_u("adr_shrinks", s.adr.shrinks);
-  f.put_u("adr_entries_moved", s.adr.entries_moved);
-  f.put_u("adr_entries_displaced", s.adr.entries_displaced);
-  f.put_u("adr_blocked_cycles", s.adr.blocked_cycles);
-  f.put_u("tasks", s.tasks);
-  f.put_u("edges", s.edges);
-  f.put_u("accesses_replayed", s.accesses_replayed);
-  f.put_u("create_cycles", s.create_cycles);
-  f.put_u("schedule_cycles", s.schedule_cycles);
-  f.put_u("wakeup_cycles", s.wakeup_cycles);
-  f.put_u("register_cycles", s.register_cycles);
-  f.put_u("invalidate_cycles", s.invalidate_cycles);
-  f.put_u("flushed_nc_lines", s.flushed_nc_lines);
-  f.put_u("flushed_nc_wbs", s.flushed_nc_wbs);
-  f.put_u("blocks_touched", s.blocks_touched);
-  f.put_u("blocks_noncoherent", s.blocks_noncoherent);
-  f.put_d("noncoherent_block_fraction", s.noncoherent_block_fraction);
-  f.put_d("avg_dir_occupancy", s.avg_dir_occupancy);
-  f.put_d("avg_dir_active_frac", s.avg_dir_active_frac);
-  f.put_d("dir_dyn_energy_pj", s.dir_dyn_energy_pj);
-  f.put_d("llc_dyn_energy_pj", s.llc_dyn_energy_pj);
-  f.put_d("noc_dyn_energy_pj", s.noc_dyn_energy_pj);
-  f.put_d("mem_dyn_energy_pj", s.mem_dyn_energy_pj);
-  f.put_d("l1_dyn_energy_pj", s.l1_dyn_energy_pj);
-  f.put_d("dir_leak_energy_pj", s.dir_leak_energy_pj);
-  if (s.sampling.active != 0) {
-    // Gated on `active` so detailed entries keep the v5 byte layout — a
-    // sampled spec carries a distinct `-smp` key, so the two never collide.
-    const SamplingStats& sp = s.sampling;
-    f.put_u("sampling_active", sp.active);
-    f.put_u("sampling_windows", sp.windows);
-    f.put_u("sampling_measured_tasks", sp.measured_tasks);
-    f.put_u("sampling_warmup_tasks", sp.warmup_tasks);
-    f.put_u("sampling_ffwd_tasks", sp.ffwd_tasks);
-    f.put_u("sampling_measured_accesses", sp.measured_accesses);
-    f.put_u("sampling_ffwd_accesses", sp.ffwd_accesses);
-    f.put_d("sampling_scale", sp.scale);
-    f.put_d("sampling_cycles_ci95", sp.cycles_ci95);
-    f.put_d("sampling_dir_accesses_ci95", sp.dir_accesses_ci95);
-    f.put_d("sampling_llc_hits_ci95", sp.llc_hits_ci95);
-    f.put_d("sampling_noc_flits_ci95", sp.noc_flits_ci95);
-    f.put_d("sampling_noc_flit_hops_ci95", sp.noc_flit_hops_ci95);
-    f.put_d("sampling_dram_row_hits_ci95", sp.dram_row_hits_ci95);
-    f.put_d("sampling_dram_row_hit_rate_ci95", sp.dram_row_hit_rate_ci95);
-    f.put_d("sampling_dir_occupancy_ci95", sp.dir_occupancy_ci95);
-  }
-  if (s.service.requests != 0) {
-    // Same gating idea as sampling: batch entries keep the v5 byte layout,
-    // and a service spec always carries workload params in its key.
-    const auto put_dist = [&f](const char* prefix, const DistSummary& d) {
-      f.put_u(strprintf("%s_count", prefix), d.count);
-      f.put_d(strprintf("%s_mean", prefix), d.mean);
-      f.put_d(strprintf("%s_p50", prefix), d.p50);
-      f.put_d(strprintf("%s_p95", prefix), d.p95);
-      f.put_d(strprintf("%s_p99", prefix), d.p99);
-      f.put_d(strprintf("%s_max", prefix), d.max);
-    };
-    f.put_u("service_requests", s.service.requests);
-    put_dist("service_queue", s.service.queueing);
-    put_dist("service_svc", s.service.service);
-    put_dist("service_e2e", s.service.e2e);
+template <class T>
+void put(std::string& out, const void* field) {
+  const T& v = *static_cast<const T*>(field);
+  if constexpr (std::is_same_v<T, double>) {
+    out += strprintf("%.17g", v);
+  } else {
+    out += std::to_string(static_cast<std::uint64_t>(v));
   }
 }
 
-void unpack(const Fields& f, SimStats& s) {
-  s.mode = static_cast<CohMode>(f.get_u("mode"));
-  s.dir_ratio = static_cast<std::uint32_t>(f.get_u("dir_ratio"));
-  s.adr_enabled = f.get_u("adr_enabled") != 0;
-  s.cycles = f.get_u("cycles");
-  s.busy_cycles = f.get_u("busy_cycles");
-  s.core_utilization = f.get_d("core_utilization");
-  FabricStats& fb = s.fabric;
-  fb.l1_accesses = f.get_u("l1_accesses");
-  fb.l1_hits = f.get_u("l1_hits");
-  fb.l1_misses = f.get_u("l1_misses");
-  fb.l1_evictions = f.get_u("l1_evictions");
-  fb.l1_wb_coh = f.get_u("l1_wb_coh");
-  fb.l1_wb_nc = f.get_u("l1_wb_nc");
-  fb.l1_invals_sharer = f.get_u("l1_invals_sharer");
-  fb.l1_invals_recall = f.get_u("l1_invals_recall");
-  fb.l1_flush_nc_lines = f.get_u("l1_flush_nc_lines");
-  fb.l1_flush_nc_wbs = f.get_u("l1_flush_nc_wbs");
-  fb.l1_flush_page_lines = f.get_u("l1_flush_page_lines");
-  fb.l1_flush_page_wbs = f.get_u("l1_flush_page_wbs");
-  fb.llc_lookups = f.get_u("llc_lookups");
-  fb.llc_hits = f.get_u("llc_hits");
-  fb.llc_misses = f.get_u("llc_misses");
-  fb.llc_nc_lookups = f.get_u("llc_nc_lookups");
-  fb.llc_nc_hits = f.get_u("llc_nc_hits");
-  fb.llc_fills = f.get_u("llc_fills");
-  fb.llc_evictions = f.get_u("llc_evictions");
-  fb.llc_inval_by_dir = f.get_u("llc_inval_by_dir");
-  fb.llc_wb_mem = f.get_u("llc_wb_mem");
-  fb.llc_touches = f.get_u("llc_touches");
-  fb.dir_accesses = f.get_u("dir_accesses");
-  fb.dir_lookups = f.get_u("dir_lookups");
-  fb.dir_hits = f.get_u("dir_hits");
-  fb.dir_misses = f.get_u("dir_misses");
-  fb.dir_allocs = f.get_u("dir_allocs");
-  fb.dir_evictions = f.get_u("dir_evictions");
-  fb.dir_recall_msgs = f.get_u("dir_recall_msgs");
-  fb.dir_wb_updates = f.get_u("dir_wb_updates");
-  fb.dir_nc_to_coh = f.get_u("dir_nc_to_coh");
-  fb.dir_coh_to_nc = f.get_u("dir_coh_to_nc");
-  fb.coh_reads = f.get_u("coh_reads");
-  fb.coh_writes = f.get_u("coh_writes");
-  fb.upgrades = f.get_u("upgrades");
-  fb.nc_reads = f.get_u("nc_reads");
-  fb.nc_writes = f.get_u("nc_writes");
-  fb.owner_probes = f.get_u("owner_probes");
-  fb.dir_reqs_cross_socket = f.get_u("dir_reqs_cross_socket");
-  fb.nc_reqs_cross_socket = f.get_u("nc_reqs_cross_socket");
-  fb.mem_reads = f.get_u("mem_reads");
-  fb.mem_writes = f.get_u("mem_writes");
-  fb.mem_wb_wait_cycles = f.get_u("mem_wb_wait_cycles");
-  fb.dram_row_hits = f.get_u("dram_row_hits");
-  fb.dram_row_misses = f.get_u("dram_row_misses");
-  fb.dram_row_conflicts = f.get_u("dram_row_conflicts");
-  fb.dram_queue_wait_cycles = f.get_u("dram_queue_wait_cycles");
-  fb.e_dir_pj = f.get_d("e_dir_pj");
-  fb.e_llc_pj = f.get_d("e_llc_pj");
-  fb.e_l1_pj = f.get_d("e_l1_pj");
-  fb.e_noc_pj = f.get_d("e_noc_pj");
-  fb.e_mem_pj = f.get_d("e_mem_pj");
-  fb.e_mem_act_pj = f.get_d("e_mem_act_pj");
-  fb.e_mem_rd_pj = f.get_d("e_mem_rd_pj");
-  fb.e_mem_wr_pj = f.get_d("e_mem_wr_pj");
-  fb.e_mem_pre_pj = f.get_d("e_mem_pre_pj");
-  for (std::size_t c = 0; c < kMsgClassCount; ++c) {
-    auto& pc = s.noc.per_class[c];
-    pc.messages = f.get_u(strprintf("noc%zu_messages", c));
-    pc.flits = f.get_u(strprintf("noc%zu_flits", c));
-    pc.flit_hops = f.get_u(strprintf("noc%zu_flit_hops", c));
+template <class T>
+bool get(std::string_view text, void* field) {
+  T& v = *static_cast<T*>(field);
+  if constexpr (std::is_same_v<T, double>) {
+    return parse_all(text, v);
+  } else {
+    std::uint64_t u = 0;
+    if (!parse_all(text, u) || u > kMaxValue<T>) return false;
+    v = static_cast<T>(u);
+    return true;
   }
-  s.noc.cross_socket.messages = f.get_u("noc_cross_messages");
-  s.noc.cross_socket.flits = f.get_u("noc_cross_flits");
-  s.noc.cross_socket.flit_hops = f.get_u("noc_cross_flit_hops");
-  s.noc.socket_link_flits = f.get_u("noc_socket_link_flits");
-  s.ncrt.lookups = f.get_u("ncrt_lookups");
-  s.ncrt.hits = f.get_u("ncrt_hits");
-  s.ncrt.inserts = f.get_u("ncrt_inserts");
-  s.ncrt.overflows = f.get_u("ncrt_overflows");
-  s.ncrt.clears = f.get_u("ncrt_clears");
-  s.tlb.lookups = f.get_u("tlb_lookups");
-  s.tlb.hits = f.get_u("tlb_hits");
-  s.tlb.misses = f.get_u("tlb_misses");
-  s.tlb.shootdowns = f.get_u("tlb_shootdowns");
-  s.tlb.evictions = f.get_u("tlb_evictions");
-  s.pt.first_touches = f.get_u("pt_first_touches");
-  s.pt.transitions = f.get_u("pt_transitions");
-  s.adr.polls = f.get_u("adr_polls");
-  s.adr.grows = f.get_u("adr_grows");
-  s.adr.shrinks = f.get_u("adr_shrinks");
-  s.adr.entries_moved = f.get_u("adr_entries_moved");
-  s.adr.entries_displaced = f.get_u("adr_entries_displaced");
-  s.adr.blocked_cycles = f.get_u("adr_blocked_cycles");
-  s.tasks = f.get_u("tasks");
-  s.edges = f.get_u("edges");
-  s.accesses_replayed = f.get_u("accesses_replayed");
-  s.create_cycles = f.get_u("create_cycles");
-  s.schedule_cycles = f.get_u("schedule_cycles");
-  s.wakeup_cycles = f.get_u("wakeup_cycles");
-  s.register_cycles = f.get_u("register_cycles");
-  s.invalidate_cycles = f.get_u("invalidate_cycles");
-  s.flushed_nc_lines = f.get_u("flushed_nc_lines");
-  s.flushed_nc_wbs = f.get_u("flushed_nc_wbs");
-  s.blocks_touched = f.get_u("blocks_touched");
-  s.blocks_noncoherent = f.get_u("blocks_noncoherent");
-  s.noncoherent_block_fraction = f.get_d("noncoherent_block_fraction");
-  s.avg_dir_occupancy = f.get_d("avg_dir_occupancy");
-  s.avg_dir_active_frac = f.get_d("avg_dir_active_frac");
-  s.dir_dyn_energy_pj = f.get_d("dir_dyn_energy_pj");
-  s.llc_dyn_energy_pj = f.get_d("llc_dyn_energy_pj");
-  s.noc_dyn_energy_pj = f.get_d("noc_dyn_energy_pj");
-  s.mem_dyn_energy_pj = f.get_d("mem_dyn_energy_pj");
-  s.l1_dyn_energy_pj = f.get_d("l1_dyn_energy_pj");
-  s.dir_leak_energy_pj = f.get_d("dir_leak_energy_pj");
-  s.sampling.active = f.get_u("sampling_active");
-  if (s.sampling.active != 0) {
-    SamplingStats& sp = s.sampling;
-    sp.windows = f.get_u("sampling_windows");
-    sp.measured_tasks = f.get_u("sampling_measured_tasks");
-    sp.warmup_tasks = f.get_u("sampling_warmup_tasks");
-    sp.ffwd_tasks = f.get_u("sampling_ffwd_tasks");
-    sp.measured_accesses = f.get_u("sampling_measured_accesses");
-    sp.ffwd_accesses = f.get_u("sampling_ffwd_accesses");
-    sp.scale = f.get_d("sampling_scale");
-    sp.cycles_ci95 = f.get_d("sampling_cycles_ci95");
-    sp.dir_accesses_ci95 = f.get_d("sampling_dir_accesses_ci95");
-    sp.llc_hits_ci95 = f.get_d("sampling_llc_hits_ci95");
-    sp.noc_flits_ci95 = f.get_d("sampling_noc_flits_ci95");
-    sp.noc_flit_hops_ci95 = f.get_d("sampling_noc_flit_hops_ci95");
-    sp.dram_row_hits_ci95 = f.get_d("sampling_dram_row_hits_ci95");
-    sp.dram_row_hit_rate_ci95 = f.get_d("sampling_dram_row_hit_rate_ci95");
-    sp.dir_occupancy_ci95 = f.get_d("sampling_dir_occupancy_ci95");
-  }
-  s.service.requests = f.get_u("service_requests");
-  if (s.service.requests != 0) {
-    const auto get_dist = [&f](const char* prefix, DistSummary& d) {
-      d.count = f.get_u(strprintf("%s_count", prefix));
-      d.mean = f.get_d(strprintf("%s_mean", prefix));
-      d.p50 = f.get_d(strprintf("%s_p50", prefix));
-      d.p95 = f.get_d(strprintf("%s_p95", prefix));
-      d.p99 = f.get_d(strprintf("%s_p99", prefix));
-      d.max = f.get_d(strprintf("%s_max", prefix));
-    };
-    get_dist("service_queue", s.service.queueing);
-    get_dist("service_svc", s.service.service);
-    get_dist("service_e2e", s.service.e2e);
-  }
+}
+
+static_assert(std::is_standard_layout_v<SimStats>, "fields are addressed by offset");
+static_assert(offsetof(SamplingStats, active) == 0 && offsetof(ServiceStats, requests) == 0 &&
+                  std::is_same_v<decltype(SamplingStats::active), std::uint64_t> &&
+                  std::is_same_v<decltype(ServiceStats::requests), std::uint64_t>,
+              "a gated block's gate is its first field, a std::uint64_t");
+constexpr std::size_t kNoGate = static_cast<std::size_t>(-1);
+
+struct Slot {
+  std::string key;
+  std::size_t offset;  ///< of the field within SimStats
+  std::size_t gate;    ///< offset of its block's gate field, or kNoGate
+  void (*put)(std::string&, const void*);
+  bool (*get)(std::string_view, void*);
+};
+
+std::string spelled(const std::string& prefix) {
+  if (prefix == "fabric_") return "";
+  if (prefix == "noc_cross_socket_") return "noc_cross_";
+  if (prefix == "service_queueing_") return "service_queue_";
+  if (prefix == "service_service_") return "service_svc_";
+  return prefix;
+}
+
+/// Appends a slot for every leaf field of `s`, which lies inside `root`.
+template <class S>
+void add_slots(std::vector<Slot>& slots, const SimStats& root, const S& s,
+               const std::string& prefix, std::size_t gate) {
+  const auto offset_of = [&root](const auto& v) {
+    return static_cast<std::size_t>(reinterpret_cast<const char*>(&v) -
+                                    reinterpret_cast<const char*>(&root));
+  };
+  S::for_each_field([&](const std::string& name, auto member) {
+    const auto& v = s.*member;
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (FieldList<T>) {
+      // A gated block's gate is its first field, at the block's offset.
+      const bool gated =
+          std::is_same_v<S, SimStats> && (name == "sampling" || name == "service");
+      add_slots(slots, root, v, spelled(prefix + name + "_"), gated ? offset_of(v) : gate);
+    } else if constexpr (requires { std::tuple_size<T>::value; }) {
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        add_slots(slots, root, v[i],
+                  prefix.substr(0, prefix.size() - 1) + std::to_string(i) + "_", gate);
+      }
+    } else {
+      slots.push_back(Slot{prefix + name, offset_of(v), gate, &put<T>, &get<T>});
+    }
+  });
+}
+
+/// Every leaf field of SimStats, sorted by key (the file order).
+const std::vector<Slot>& layout() {
+  static const std::vector<Slot> kSlots = [] {
+    std::vector<Slot> slots;
+    const SimStats root;
+    add_slots(slots, root, root, "", kNoGate);
+    std::sort(slots.begin(), slots.end(),
+              [](const Slot& a, const Slot& b) { return a.key < b.key; });
+    return slots;
+  }();
+  return kSlots;
+}
+
+void* field(SimStats& s, std::size_t offset) { return reinterpret_cast<char*>(&s) + offset; }
+const void* field(const SimStats& s, std::size_t offset) {
+  return reinterpret_cast<const char*>(&s) + offset;
+}
+
+/// Whether the field's block is present.
+bool block_on(const SimStats& s, const Slot& f) {
+  return f.gate == kNoGate || *static_cast<const std::uint64_t*>(field(s, f.gate)) != 0;
 }
 
 }  // namespace
 
 std::string stats_to_text(const SimStats& s) {
-  Fields f;
-  pack(s, f);
   std::string out = strprintf("format=%u\n", kStatsFormatVersion);
-  for (const auto& [k, v] : f.kv) out += k + "=" + v + "\n";
+  out.reserve(4096);
+  for (const Slot& f : layout()) {
+    if (!block_on(s, f)) continue;
+    out += f.key;
+    out += '=';
+    f.put(out, field(s, f.offset));
+    out += '\n';
+  }
   return out;
 }
 
 std::optional<SimStats> stats_from_text(const std::string& text) {
-  Fields f;
-  std::istringstream in(text);
-  std::string line;
+  const std::vector<Slot>& slots = layout();
+  SimStats s;
+  std::vector<bool> seen(slots.size());
   bool version_ok = false;
-  while (std::getline(in, line)) {
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string k = line.substr(0, eq);
-    const std::string v = line.substr(eq + 1);
+  std::string_view rest = text;
+  while (!rest.empty()) {
+    const std::size_t nl = rest.find('\n');
+    const std::string_view line = rest.substr(0, nl);
+    rest = nl == std::string_view::npos ? std::string_view() : rest.substr(nl + 1);
+    const std::size_t eq = line.find('=');
+    if (eq == std::string_view::npos) continue;
+    const std::string_view k = line.substr(0, eq);
+    const std::string_view v = line.substr(eq + 1);
     if (k == "format") {
-      version_ok = (std::strtoul(v.c_str(), nullptr, 10) == kStatsFormatVersion);
+      unsigned version = 0;
+      version_ok = parse_all(v, version) && version == kStatsFormatVersion;
       continue;
     }
-    f.kv[k] = v;
+    const auto it = std::lower_bound(
+        slots.begin(), slots.end(), k,
+        [](const Slot& f, std::string_view key) { return f.key < key; });
+    if (it == slots.end() || it->key != k) continue;  // not a v5 key
+    if (!it->get(v, field(s, it->offset))) return std::nullopt;
+    seen[static_cast<std::size_t>(it - slots.begin())] = true;
   }
   if (!version_ok) return std::nullopt;
-  SimStats s;
-  unpack(f, s);
+  // Exactly the keys stats_to_text writes for these values: a missing one
+  // means a truncated entry, which must be a miss rather than zeros.
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const Slot& f = slots[i];
+    if (f.gate != f.offset && seen[i] != block_on(s, f)) return std::nullopt;
+  }
   return s;
 }
 

@@ -46,18 +46,6 @@ std::uint64_t NocStats::total_flit_hops() const noexcept {
   for (const auto& c : per_class) sum += c.flit_hops;
   return sum;
 }
-void NocStats::add(const NocStats& o) noexcept {
-  for (std::size_t i = 0; i < per_class.size(); ++i) {
-    per_class[i].messages += o.per_class[i].messages;
-    per_class[i].flits += o.per_class[i].flits;
-    per_class[i].flit_hops += o.per_class[i].flit_hops;
-  }
-  cross_socket.messages += o.cross_socket.messages;
-  cross_socket.flits += o.cross_socket.flits;
-  cross_socket.flit_hops += o.cross_socket.flit_hops;
-  socket_link_flits += o.socket_link_flits;
-}
-
 Mesh::Mesh(const MeshConfig& cfg)
     : cfg_(cfg), topo_(flat_topo_from(cfg), cfg.width * cfg.height) {
   RACCD_ASSERT(cfg_.width > 0 && cfg_.height > 0, "empty mesh");

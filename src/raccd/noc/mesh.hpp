@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 
+#include "raccd/common/field_list.hpp"
 #include "raccd/common/types.hpp"
 #include "raccd/topo/topology.hpp"
 
@@ -50,19 +51,26 @@ struct MeshConfig {
   std::uint32_t data_bytes = 8 + kLineBytes;       ///< header + cache line
 };
 
+#define RACCD_NOC_CLASS_STATS_FIELDS(X) \
+  X(std::uint64_t, messages)            \
+  X(std::uint64_t, flits)               \
+  X(std::uint64_t, flit_hops)
+
+#define RACCD_NOC_STATS_FIELDS(X)                                             \
+  X(PerClasses, per_class)                                                    \
+  /* Subset of the above that traversed an inter-socket link (all zero on */  \
+  /* single-socket topologies). */                                            \
+  X(PerClass, cross_socket)                                                   \
+  /* Flits carried over the inter-socket links themselves (the off-package */ \
+  /* bandwidth demand, as opposed to cross-socket messages' total hops). */   \
+  X(std::uint64_t, socket_link_flits)
+
 struct NocStats {
   struct PerClass {
-    std::uint64_t messages = 0;
-    std::uint64_t flits = 0;
-    std::uint64_t flit_hops = 0;
+    RACCD_FIELDS(PerClass, RACCD_NOC_CLASS_STATS_FIELDS)
   };
-  std::array<PerClass, kMsgClassCount> per_class{};
-  /// Subset of the above that traversed an inter-socket link (all zero on
-  /// single-socket topologies).
-  PerClass cross_socket{};
-  /// Flits carried over the inter-socket links themselves (the off-package
-  /// bandwidth demand, as opposed to cross-socket messages' total hops).
-  std::uint64_t socket_link_flits = 0;
+  using PerClasses = std::array<PerClass, kMsgClassCount>;
+  RACCD_FIELDS(NocStats, RACCD_NOC_STATS_FIELDS)
 
   [[nodiscard]] std::uint64_t total_messages() const noexcept;
   [[nodiscard]] std::uint64_t total_flits() const noexcept;
@@ -70,7 +78,7 @@ struct NocStats {
   [[nodiscard]] std::uint64_t on_socket_flit_hops() const noexcept {
     return total_flit_hops() - cross_socket.flit_hops;
   }
-  void add(const NocStats& o) noexcept;
+  void add(const NocStats& o) noexcept { add_fields(*this, o); }
 };
 
 class Mesh {

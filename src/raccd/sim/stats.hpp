@@ -5,6 +5,7 @@
 #include <string>
 
 #include "raccd/coherence/fabric_stats.hpp"
+#include "raccd/common/field_list.hpp"
 #include "raccd/core/adr_config.hpp"
 #include "raccd/core/ncrt.hpp"
 #include "raccd/core/pt_classifier.hpp"
@@ -18,103 +19,104 @@ namespace raccd {
 /// measured, the extrapolation factor applied to the fabric/NoC counters,
 /// and per-metric 95% confidence half-widths from the window-to-window
 /// variation of the measured rates. All zero (scale 1) for detailed runs.
-struct SamplingStats {
-  std::uint64_t active = 0;   ///< 1 when the run used sampled simulation
-  std::uint64_t windows = 0;  ///< measured windows with at least one access
-  std::uint64_t measured_tasks = 0;
-  std::uint64_t warmup_tasks = 0;
-  std::uint64_t ffwd_tasks = 0;
-  std::uint64_t measured_accesses = 0;
-  std::uint64_t ffwd_accesses = 0;
-  double scale = 1.0;  ///< total accesses / measured accesses
+#define RACCD_SAMPLING_STATS_FIELDS(X)                                         \
+  X(std::uint64_t, active) /* 1 when the run used sampled simulation */        \
+  X(std::uint64_t, windows) /* measured windows with at least one access */    \
+  X(std::uint64_t, measured_tasks)                                             \
+  X(std::uint64_t, warmup_tasks)                                               \
+  X(std::uint64_t, ffwd_tasks)                                                 \
+  X(std::uint64_t, measured_accesses)                                          \
+  X(std::uint64_t, ffwd_accesses)                                              \
+  X(double, scale, 1.0) /* total accesses / measured accesses */               \
+  /* 95% CI half-widths on the extrapolated totals (absolute, same units as */ \
+  /* the metric they annotate; the *_ci95 flat keys pair with the base keys */ \
+  /* so raccd-report can widen its tolerance bands CI-aware). */               \
+  X(double, cycles_ci95)                                                       \
+  X(double, dir_accesses_ci95)                                                 \
+  X(double, llc_hits_ci95)                                                     \
+  X(double, noc_flits_ci95)                                                    \
+  X(double, noc_flit_hops_ci95)                                                \
+  X(double, dram_row_hits_ci95)                                                \
+  X(double, dram_row_hit_rate_ci95)                                            \
+  X(double, dir_occupancy_ci95)
 
-  // 95% CI half-widths on the extrapolated totals (absolute, same units as
-  // the metric they annotate; the *_ci95 flat keys pair with the base keys
-  // so raccd-report can widen its tolerance bands CI-aware).
-  double cycles_ci95 = 0.0;
-  double dir_accesses_ci95 = 0.0;
-  double llc_hits_ci95 = 0.0;
-  double noc_flits_ci95 = 0.0;
-  double noc_flit_hops_ci95 = 0.0;
-  double dram_row_hits_ci95 = 0.0;
-  double dram_row_hit_rate_ci95 = 0.0;
-  double dir_occupancy_ci95 = 0.0;
+struct SamplingStats {
+  RACCD_FIELDS(SamplingStats, RACCD_SAMPLING_STATS_FIELDS)
 };
 
 /// Summary of one latency distribution (cycles): produced by
 /// metrics::Histogram, reported by the `distribution` metric kind.
+#define RACCD_DIST_SUMMARY_FIELDS(X) \
+  X(std::uint64_t, count)            \
+  X(double, mean)                    \
+  X(double, p50)                     \
+  X(double, p95)                     \
+  X(double, p99)                     \
+  X(double, max)
+
 struct DistSummary {
-  std::uint64_t count = 0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
+  RACCD_FIELDS(DistSummary, RACCD_DIST_SUMMARY_FIELDS)
 };
 
 /// Open-loop service-run bookkeeping: per-request latency distributions
 /// grouped by TaskNode::request. All zero for batch runs (`requests == 0`
 /// gates the cache/JSON blocks, like SamplingStats::active).
+#define RACCD_SERVICE_STATS_FIELDS(X)                               \
+  X(std::uint64_t, requests) /* completed requests observed */      \
+  X(DistSummary, queueing)  /* release -> first task start */       \
+  X(DistSummary, service)   /* first task start -> last task end */ \
+  X(DistSummary, e2e)       /* release -> last task end */
+
 struct ServiceStats {
-  std::uint64_t requests = 0;  ///< completed requests observed
-  DistSummary queueing{};      ///< release -> first task start
-  DistSummary service{};       ///< first task start -> last task end
-  DistSummary e2e{};           ///< release -> last task end
+  RACCD_FIELDS(ServiceStats, RACCD_SERVICE_STATS_FIELDS)
 };
 
+#define RACCD_SIM_STATS_FIELDS(X)                                              \
+  /* Identity */                                                               \
+  X(CohMode, mode)                                                             \
+  X(std::uint32_t, dir_ratio, 1)                                               \
+  X(bool, adr_enabled)                                                         \
+  /* Time (paper Fig. 6, 9) */                                                 \
+  X(Cycle, cycles)                                                             \
+  X(Cycle, busy_cycles) /* sum of per-core task execution time */              \
+  X(double, core_utilization)                                                  \
+  /* Subsystem stats */                                                        \
+  X(FabricStats, fabric)                                                       \
+  X(NocStats, noc)                                                             \
+  X(NcrtStats, ncrt)                                                           \
+  X(TlbStats, tlb)                                                             \
+  X(PtClassifierStats, pt)                                                     \
+  X(AdrStats, adr)                                                             \
+  /* Runtime activity */                                                       \
+  X(std::uint64_t, tasks)                                                      \
+  X(std::uint64_t, edges)                                                      \
+  X(std::uint64_t, accesses_replayed)                                          \
+  X(Cycle, create_cycles)                                                      \
+  X(Cycle, schedule_cycles)                                                    \
+  X(Cycle, wakeup_cycles)                                                      \
+  X(Cycle, register_cycles) /* raccd_register total */                         \
+  X(Cycle, invalidate_cycles) /* raccd_invalidate total (incl. cache walks) */ \
+  X(std::uint64_t, flushed_nc_lines)                                           \
+  X(std::uint64_t, flushed_nc_wbs)                                             \
+  /* Block classification (paper Fig. 2) */                                    \
+  X(std::uint64_t, blocks_touched)                                             \
+  X(std::uint64_t, blocks_noncoherent)                                         \
+  X(double, noncoherent_block_fraction)                                        \
+  /* Directory occupancy (paper Fig. 8) and ADR power state */                 \
+  X(double, avg_dir_occupancy) /* vs configured capacity */                    \
+  X(double, avg_dir_active_frac) /* powered fraction (ADR) */                  \
+  /* Energy (paper Fig. 7d, 10); directory dynamic energy is the headline. */  \
+  X(double, dir_dyn_energy_pj)                                                 \
+  X(double, llc_dyn_energy_pj)                                                 \
+  X(double, noc_dyn_energy_pj)                                                 \
+  X(double, mem_dyn_energy_pj)                                                 \
+  X(double, l1_dyn_energy_pj)                                                  \
+  X(double, dir_leak_energy_pj)                                                \
+  X(SamplingStats, sampling) /* sampled simulation (zero for detailed runs) */ \
+  X(ServiceStats, service) /* open-loop service runs (zero for batch runs) */
+
 struct SimStats {
-  // Identity
-  CohMode mode = CohMode::kFullCoh;
-  std::uint32_t dir_ratio = 1;
-  bool adr_enabled = false;
-
-  // Time (paper Fig. 6, 9)
-  Cycle cycles = 0;
-  Cycle busy_cycles = 0;  ///< sum of per-core task execution time
-  double core_utilization = 0.0;
-
-  // Subsystem stats
-  FabricStats fabric{};
-  NocStats noc{};
-  NcrtStats ncrt{};
-  TlbStats tlb{};
-  PtClassifierStats pt{};
-  AdrStats adr{};
-
-  // Runtime activity
-  std::uint64_t tasks = 0;
-  std::uint64_t edges = 0;
-  std::uint64_t accesses_replayed = 0;
-  Cycle create_cycles = 0;
-  Cycle schedule_cycles = 0;
-  Cycle wakeup_cycles = 0;
-  Cycle register_cycles = 0;    ///< raccd_register total
-  Cycle invalidate_cycles = 0;  ///< raccd_invalidate total (incl. cache walks)
-  std::uint64_t flushed_nc_lines = 0;
-  std::uint64_t flushed_nc_wbs = 0;
-
-  // Block classification (paper Fig. 2)
-  std::uint64_t blocks_touched = 0;
-  std::uint64_t blocks_noncoherent = 0;
-  double noncoherent_block_fraction = 0.0;
-
-  // Directory occupancy (paper Fig. 8) and ADR power state
-  double avg_dir_occupancy = 0.0;    ///< vs configured capacity
-  double avg_dir_active_frac = 0.0;  ///< powered fraction (ADR)
-
-  // Energy (paper Fig. 7d, 10); directory dynamic energy is the headline.
-  double dir_dyn_energy_pj = 0.0;
-  double llc_dyn_energy_pj = 0.0;
-  double noc_dyn_energy_pj = 0.0;
-  double mem_dyn_energy_pj = 0.0;
-  double l1_dyn_energy_pj = 0.0;
-  double dir_leak_energy_pj = 0.0;
-
-  // Sampled simulation (zeroed for detailed runs)
-  SamplingStats sampling{};
-
-  // Open-loop service runs (zeroed for batch runs)
-  ServiceStats service{};
+  RACCD_FIELDS(SimStats, RACCD_SIM_STATS_FIELDS)
 
   // Derived (paper Fig. 7a/7b/7c)
   [[nodiscard]] std::uint64_t dir_accesses() const noexcept { return fabric.dir_accesses; }

@@ -10,18 +10,22 @@
 #include <cstdint>
 #include <vector>
 
+#include "raccd/common/field_list.hpp"
 #include "raccd/common/flat_map.hpp"
 #include "raccd/common/types.hpp"
 #include "raccd/mem/page_table.hpp"
 
 namespace raccd {
 
+#define RACCD_TLB_STATS_FIELDS(X)                                          \
+  X(std::uint64_t, lookups)                                                \
+  X(std::uint64_t, hits)                                                   \
+  X(std::uint64_t, misses)                                                 \
+  X(std::uint64_t, shootdowns) /* entries invalidated by remote request */ \
+  X(std::uint64_t, evictions)  /* capacity-driven LRU evictions */
+
 struct TlbStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t shootdowns = 0;  ///< entries invalidated by remote request
-  std::uint64_t evictions = 0;   ///< capacity-driven LRU evictions
+  RACCD_FIELDS(TlbStats, RACCD_TLB_STATS_FIELDS)
 };
 
 class Tlb {

@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <set>
 #include <sstream>
+#include <type_traits>
 
+#include "raccd/common/field_list.hpp"
 #include "raccd/harness/experiment.hpp"
 #include "raccd/harness/sweep_cache.hpp"
 #include "raccd/harness/table.hpp"
+#include "raccd/metrics/metric_schema.hpp"
 
 namespace raccd {
 namespace {
@@ -108,6 +116,152 @@ TEST(StatsIo, GoldenEntryRoundTripsByteForByte) {
 TEST(StatsIo, RejectsWrongVersion) {
   EXPECT_FALSE(stats_from_text("format=0\ncycles=5\n").has_value());
   EXPECT_FALSE(stats_from_text("garbage").has_value());
+}
+
+/// `text` with the value of `key` replaced (or its line dropped when
+/// `value` is null).
+std::string with_value(const std::string& text, const std::string& key, const char* value) {
+  std::istringstream in(text);
+  std::string out, line;
+  bool found = false;
+  while (std::getline(in, line)) {
+    if (line.compare(0, key.size() + 1, key + "=") == 0) {
+      found = true;
+      if (value == nullptr) continue;
+      line = key + "=" + value;
+    }
+    out += line + "\n";
+  }
+  EXPECT_TRUE(found) << key;
+  return out;
+}
+
+// A cache hit must be a complete, well-formed entry: anything else is a
+// miss (nullopt), so the spec is simulated again rather than served zeros.
+TEST(StatsIo, RejectsTruncatedOrGarbledEntries) {
+  SimStats s;
+  s.cycles = 12;
+  s.tasks = 3;
+  const std::string text = stats_to_text(s);
+  ASSERT_TRUE(stats_from_text(text).has_value());
+
+  EXPECT_FALSE(stats_from_text("format=5\n").has_value());
+  EXPECT_FALSE(stats_from_text(with_value(text, "l1_hits", nullptr)).has_value());
+  EXPECT_FALSE(stats_from_text(with_value(text, "format", "5x")).has_value());
+  for (const auto& [key, value] : std::vector<std::pair<std::string, const char*>>{
+           {"tasks", "-1"},
+           {"cycles", "12abc"},
+           {"cycles", ""},
+           {"cycles", " 12"},
+           {"cycles", "+12"},
+           {"cycles", "18446744073709551616"},  // 2^64
+           {"dir_ratio", "4294967296"},         // 2^32
+           {"adr_enabled", "2"},
+           {"mode", "4"},
+           {"avg_dir_occupancy", "0.5x"},
+           {"avg_dir_occupancy", "x"},
+       }) {
+    EXPECT_FALSE(stats_from_text(with_value(text, key, value)).has_value())
+        << key << "=" << value;
+  }
+
+  // Once a gated block's gate key is present, every key of the block is
+  // expected; without the gate, none of them may appear.
+  SimStats sampled = s;
+  sampled.sampling.active = 1;
+  const std::string sampled_text = stats_to_text(sampled);
+  ASSERT_TRUE(stats_from_text(sampled_text).has_value());
+  EXPECT_FALSE(stats_from_text(with_value(sampled_text, "sampling_scale", nullptr)).has_value());
+  EXPECT_FALSE(stats_from_text(with_value(sampled_text, "sampling_active", nullptr)).has_value());
+  SimStats service = s;
+  service.service.requests = 4;
+  const std::string service_text = stats_to_text(service);
+  ASSERT_TRUE(stats_from_text(service_text).has_value());
+  EXPECT_FALSE(stats_from_text(with_value(service_text, "service_e2e_p99", nullptr)).has_value());
+}
+
+TEST(StatsIo, AcceptsEveryDoubleTheWriterEmits) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {0.0, -0.0, 0.1, -2.5, 1e300, 5e-324, 2.2250738585072014e-308,
+                         std::numeric_limits<double>::max(), 0.12345678901234568, kInf, -kInf,
+                         kNan, -kNan}) {
+    SimStats s;
+    s.avg_dir_occupancy = v;
+    const std::string text = stats_to_text(s);
+    const auto back = stats_from_text(text);
+    ASSERT_TRUE(back.has_value()) << text;
+    if (std::isnan(v)) {
+      EXPECT_TRUE(std::isnan(back->avg_dir_occupancy)) << text;
+    } else {
+      EXPECT_EQ(back->avg_dir_occupancy, v) << text;
+      EXPECT_EQ(std::signbit(back->avg_dir_occupancy), std::signbit(v)) << text;
+    }
+  }
+}
+
+/// Changes a leaf to another valid value of its type; `target` (the leaf's
+/// for_each_leaf index) keeps the values of different leaves distinct.
+template <class Leaf>
+void perturb(Leaf& v, std::size_t target) {
+  if constexpr (std::is_same_v<Leaf, bool>) {
+    v = !v;
+  } else if constexpr (std::is_same_v<Leaf, CohMode>) {
+    v = CohMode::kWbNC;
+  } else if constexpr (std::is_same_v<Leaf, double>) {
+    v += 0.5 + static_cast<double>(target);
+  } else {
+    v = static_cast<Leaf>(v + 2 + target);
+  }
+}
+
+template <class Leaf, class Block>
+bool inside(const Leaf& leaf, const Block& block) {
+  const auto* p = reinterpret_cast<const char*>(&leaf);
+  const auto* b = reinterpret_cast<const char*>(&block);
+  return p >= b && p < b + sizeof(Block);
+}
+
+std::size_t leaf_count() {
+  SimStats probe;
+  std::size_t n = 0;
+  for_each_leaf([&n](const auto&) { ++n; }, probe);
+  return n;
+}
+
+// Every SimStats leaf, set alone (plus its block's gate), survives
+// stats_to_text -> stats_from_text: each field has a key, and the key is
+// read back into the same member.
+TEST(StatsIo, EveryFieldRoundTripsAlone) {
+  // One key per leaf once both gated blocks are present.
+  SimStats gated;
+  gated.sampling.active = 1;
+  gated.service.requests = 1;
+  const std::string all_keys = stats_to_text(gated);
+  const std::size_t n = leaf_count();
+  ASSERT_EQ(n + 1, static_cast<std::size_t>(std::count(all_keys.begin(), all_keys.end(), '\n')));
+  for (std::size_t target = 0; target < n; ++target) {
+    SimStats s;
+    std::size_t i = 0;
+    for_each_leaf(
+        [&](auto& v) {
+          if (i++ != target) return;
+          perturb(v, target);
+          if (inside(v, s.sampling) && s.sampling.active == 0) s.sampling.active = 1;
+          if (inside(v, s.service) && s.service.requests == 0) s.service.requests = 1;
+        },
+        s);
+    const std::string text = stats_to_text(s);
+    const auto back = stats_from_text(text);
+    ASSERT_TRUE(back.has_value()) << text;
+    i = 0;
+    for_each_leaf(
+        [&](const auto& got, const auto& want) {
+          EXPECT_TRUE(got == want) << "leaf " << i << " (set: leaf " << target << ")\n" << text;
+          ++i;
+        },
+        *back, s);
+  }
 }
 
 TEST(SweepCache, StoreAndLoad) {
@@ -221,6 +375,54 @@ TEST(BenchOptionsDeathTest, UnknownSizeExitsWithMessage) {
         (void)BenchOptions::parse(1, const_cast<char**>(argv));
       },
       ::testing::ExitedWithCode(2), "--size bogus");
+}
+
+// Stored fields that no MetricSchema value reads, by cache key: the run's
+// identity, the fabric's energy buckets (reported through the *_dyn_energy_pj
+// roll-ups), the sampling gate and the distribution sample counts.
+const std::set<std::string> kCacheOnlyKeys = {
+    "mode", "dir_ratio", "adr_enabled",
+    "e_dir_pj", "e_llc_pj", "e_l1_pj", "e_noc_pj", "e_mem_pj",
+    "sampling_active",
+    "service_queue_count", "service_svc_count", "service_e2e_count",
+};
+
+bool same_metrics(const SimStats& a, const SimStats& b) {
+  for (const MetricDesc& m : MetricSchema::instance().all()) {
+    const MetricValue x = m.value(a), y = m.value(b);
+    if (x.is_int != y.is_int || x.u != y.u ||
+        std::memcmp(&x.d, &y.d, sizeof x.d) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Perturbing any stored field changes at least one schema value, except
+// for the cache-only fields above: a new counter cannot go unreported
+// unless it is added to that list.
+TEST(MetricSchema, EveryStoredFieldReachesAMetric) {
+  SimStats base;
+  base.sampling.active = 1;
+  base.service.requests = 1;
+  const std::string base_text = stats_to_text(base);
+  std::set<std::string> unreported;
+  for (std::size_t target = 0; target < leaf_count(); ++target) {
+    SimStats s = base;
+    std::size_t i = 0;
+    for_each_leaf([&](auto& v) { if (i++ == target) perturb(v, target); }, s);
+    // The perturbed field's key: the one line that differs from base_text.
+    std::istringstream want(base_text), got(stats_to_text(s));
+    std::string a, b, key;
+    while (std::getline(want, a) && std::getline(got, b)) {
+      if (a == b) continue;
+      EXPECT_TRUE(key.empty()) << "leaf " << target << " changed two lines";
+      key = b.substr(0, b.find('='));
+    }
+    ASSERT_FALSE(key.empty()) << "leaf " << target << " is not stored";
+    if (same_metrics(s, base)) unreported.insert(key);
+  }
+  EXPECT_EQ(unreported, kCacheOnlyKeys);
 }
 
 }  // namespace
