@@ -159,6 +159,57 @@ void BM_DepRegistryRegister(benchmark::State& state) {
 }
 BENCHMARK(BM_DepRegistryRegister);
 
+void BM_DepRegistryServiceShaped(benchmark::State& state) {
+  // The open-loop service stream at `small`: 4096 private 2 KB scratch
+  // ranges, 8192 shared 8 B slots and 4096 8 B result words, ~16K segments
+  // once warm. A request is parse (out scratch), three lookups (inout
+  // scratch + eight 8 B probes; the last also updates one slot) and a
+  // respond (in scratch, out result). One iteration registers one request.
+  constexpr std::uint64_t kRequests = 4096;
+  constexpr std::uint64_t kSlots = 8192;
+  constexpr std::uint64_t kScratchBytes = 2048;
+  constexpr VAddr kShared = 0;
+  constexpr VAddr kScratch = 1ull << 20;
+  constexpr VAddr kResults = kScratch + kRequests * kScratchBytes;
+  DepRegistry reg;
+  std::vector<TaskId> preds;
+  Rng rng(6);
+  TaskId t = 0;
+  std::uint64_t r = 0;
+  std::int64_t deps = 0;
+  const auto reg_dep = [&](VAddr a, std::uint64_t size, DepKind k) {
+    reg.register_dep(t, DepSpec{a, size, k}, preds);
+    ++deps;
+  };
+  const auto request = [&] {
+    const VAddr scratch = kScratch + (r % kRequests) * kScratchBytes;
+    preds.clear();
+    reg_dep(scratch, kScratchBytes, DepKind::kOut);
+    ++t;
+    for (int k = 0; k < 3; ++k) {
+      reg_dep(scratch, kScratchBytes, DepKind::kInout);
+      for (int p = 0; p < 8; ++p) {
+        reg_dep(kShared + rng.next_below(kSlots) * 8, 8, DepKind::kIn);
+      }
+      if (k == 2) reg_dep(kShared + (r % kSlots) * 8, 8, DepKind::kInout);
+      ++t;
+    }
+    reg_dep(scratch, kScratchBytes, DepKind::kIn);
+    reg_dep(kResults + (r % kRequests) * 8, 8, DepKind::kOut);
+    ++t;
+    ++r;
+  };
+  for (std::uint64_t i = 0; i < kRequests; ++i) request();
+  deps = 0;
+  for (auto _ : state) {
+    request();
+    benchmark::DoNotOptimize(preds.data());
+  }
+  state.SetItemsProcessed(deps);
+  state.counters["segments"] = static_cast<double>(reg.segment_count());
+}
+BENCHMARK(BM_DepRegistryServiceShaped);
+
 void BM_IntervalSetInsert(benchmark::State& state) {
   Rng rng(4);
   IntervalSet set;

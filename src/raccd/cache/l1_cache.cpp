@@ -12,6 +12,7 @@ L1Cache::L1Cache(const L1Geometry& geo)
   RACCD_ASSERT(is_pow2(sets_), "L1 set count must be a power of two");
   lines_.resize(static_cast<std::size_t>(sets_) * ways_);
   tags_.assign(static_cast<std::size_t>(sets_) * ways_, kNoTag);
+  nc_listed_.assign(static_cast<std::size_t>(sets_) * ways_, 0);
 }
 
 L1Line* L1Cache::find(LineAddr line) noexcept {
@@ -53,6 +54,11 @@ L1Line L1Cache::fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t
   set_tag(set, way, line);
   ++valid_count_;
   repl_.touch(set, way);
+  const std::uint32_t slot = set * ways_ + way;
+  if (nc && nc_listed_[slot] == 0) {
+    nc_listed_[slot] = 1;
+    nc_slots_.push_back(slot);
+  }
   return evicted;
 }
 

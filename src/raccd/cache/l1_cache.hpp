@@ -8,6 +8,7 @@
 // checker to verify that every load observes the last store.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -72,21 +73,39 @@ class L1Cache {
   /// if the line was not resident).
   L1Line invalidate(LineAddr line) noexcept;
 
-  /// Visit every valid line (raccd_invalidate walk, PT page flush, checker).
-  /// F: void(L1Line&). Iteration order is set-major, matching the paper's
-  /// "sequentially traverses the blocks of its private cache".
-  template <typename F>
-  void for_each_valid(F&& f) {
-    for (auto& l : lines_) {
-      if (l.valid) f(l);
-    }
-  }
+  /// Visit every valid line in set-major order (checker, tests).
+  /// F: void(const L1Line&).
   template <typename F>
   void for_each_valid(F&& f) const {
     for (const auto& l : lines_) {
       if (l.valid) f(l);
     }
   }
+
+  /// Invalidate every valid NC line (the raccd_invalidate walk), calling
+  /// f(old contents) for each in set-major order — the order of the paper's
+  /// "sequentially traverses the blocks of its private cache". Host cost is
+  /// proportional to the NC fills since the last drop, not to the capacity:
+  /// only slots recorded by fill() are visited, ascending. F: void(const
+  /// L1Line&); it must not touch this cache.
+  template <typename F>
+  void drop_nc_lines(F&& f) {
+    std::sort(nc_slots_.begin(), nc_slots_.end());
+    for (const std::uint32_t slot : nc_slots_) {
+      nc_listed_[slot] = 0;
+      L1Line& l = lines_[slot];
+      if (!l.valid || !l.nc) continue;  // evicted or invalidated since its fill
+      const L1Line old = l;
+      l = L1Line{};
+      tags_[slot] = kNoTag;
+      --valid_count_;
+      f(old);
+    }
+    nc_slots_.clear();
+  }
+
+  /// Slots the next drop_nc_lines() will visit (never above line_capacity()).
+  [[nodiscard]] std::size_t nc_slot_count() const noexcept { return nc_slots_.size(); }
 
   [[nodiscard]] std::uint32_t sets() const noexcept { return sets_; }
   [[nodiscard]] std::uint32_t ways() const noexcept { return ways_; }
@@ -114,6 +133,11 @@ class L1Cache {
   std::vector<LineAddr> tags_;
   ReplacementState repl_;
   std::uint32_t valid_count_ = 0;
+  /// Slots that received an NC fill since the last drop_nc_lines(), each
+  /// listed once (nc_listed_ is the per-slot dedup bit). A listed slot may
+  /// have been evicted or refilled coherent since; the drop re-checks it.
+  std::vector<std::uint32_t> nc_slots_;
+  std::vector<std::uint8_t> nc_listed_;
 };
 
 }  // namespace raccd

@@ -678,15 +678,11 @@ AccessOutcome Fabric::access(CoreId c, LineAddr line, bool is_write, bool nc, Cy
 Fabric::FlushOutcome Fabric::flush_nc_lines(CoreId c, Cycle now) {
   FlushOutcome out;
   L1Cache& l1c = *l1_[c];
-  // Sequential walk over the whole array (paper §III-C.4).
+  // The modelled walk is sequential over the whole array (paper §III-C.4);
+  // the host visits only the slots holding NC fills, in the same order.
   out.cycles = static_cast<Cycle>(l1c.line_capacity()) * cfg_.invalidate_walk_cycles_per_line;
-  std::vector<LineAddr> to_drop;
-  to_drop.reserve(64);
-  l1c.for_each_valid([&](L1Line& l) {
-    if (l.nc) to_drop.push_back(l.line);
-  });
-  for (const LineAddr line : to_drop) {
-    const L1Line old = l1c.invalidate(line);
+  l1c.drop_nc_lines([&](const L1Line& old) {
+    const LineAddr line = old.line;
     ++out.lines;
     ++st().l1_flush_nc_lines;
     if (old.dirty) {
@@ -705,7 +701,7 @@ Fabric::FlushOutcome Fabric::flush_nc_lines(CoreId c, Cycle now) {
         ++st().llc_wb_mem;
       }
     }
-  }
+  });
   return out;
 }
 

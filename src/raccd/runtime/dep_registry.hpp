@@ -6,12 +6,20 @@
 //   in    -> RAW edge from the last writer;
 //   out   -> WAW edge from the last writer + WAR edges from the readers;
 //   inout -> both of the above.
+//
+// Host cost scales with the segments a dependence covers, not with the map:
+// a flat index from segment begin to segment resolves the common case (a
+// dependence that starts on an existing boundary) in one probe, and the
+// registration then walks forward in address order, splitting the last
+// covered segment at the range end. Only a begin that falls mid-segment or
+// in unseen memory pays one ordered search of the map.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <vector>
 
+#include "raccd/common/flat_map.hpp"
 #include "raccd/common/types.hpp"
 #include "raccd/runtime/task.hpp"
 
@@ -36,10 +44,17 @@ class DepRegistry {
   };
   using Map = std::map<VAddr, Segment>;  // key = segment begin
 
-  /// Ensure a segment boundary exists exactly at `addr`.
-  void split_at(VAddr addr);
+  /// The segment beginning exactly at `addr` — splitting the segment that
+  /// covers `addr` if needed — or, when no segment covers `addr`, the first
+  /// segment after it (end() if none).
+  Map::iterator seek(VAddr addr);
+
+  /// Add segment [begin, seg.end) to the map (immediately before `hint`)
+  /// and to the begin index.
+  Map::iterator insert(Map::iterator hint, VAddr begin, Segment seg);
 
   Map segs_;
+  OpenAddrMap<Map::iterator> begins_;  ///< segment begin -> its map node
 };
 
 }  // namespace raccd

@@ -45,6 +45,16 @@ Topology::Topology(const TopologyConfig& cfg, std::uint32_t cores)
       derive_grid(cores_ / cfg_.sockets, grid_w_, grid_h_);
       break;
   }
+  // Every message leg and memory request looks its cost up here instead of
+  // redoing the coordinate math (at most 64 x 64 routes = 64 KB).
+  routes_.reserve(static_cast<std::size_t>(cores_) * cores_);
+  for (std::uint32_t from = 0; from < cores_; ++from) {
+    for (std::uint32_t to = 0; to < cores_; ++to) routes_.push_back(compute_route(from, to));
+  }
+  mem_controllers_.reserve(cores_);
+  for (std::uint32_t n = 0; n < cores_; ++n) {
+    mem_controllers_.push_back(compute_mem_controller(n));
+  }
 }
 
 std::uint64_t Topology::bank_mask(std::uint32_t socket) const noexcept {
@@ -80,7 +90,7 @@ std::uint32_t Topology::grid_hops(Coord a, Coord b) const noexcept {
   return d(a.x, b.x) + d(a.y, b.y);
 }
 
-Route Topology::route(std::uint32_t from, std::uint32_t to) const noexcept {
+Route Topology::compute_route(std::uint32_t from, std::uint32_t to) const noexcept {
   const Coord a = coord_of(from);
   const Coord b = coord_of(to);
   const Cycle per_hop = cfg_.link_cycles + cfg_.router_cycles;
@@ -99,7 +109,7 @@ Route Topology::route(std::uint32_t from, std::uint32_t to) const noexcept {
   return r;
 }
 
-std::uint32_t Topology::mem_controller(std::uint32_t node) const noexcept {
+std::uint32_t Topology::compute_mem_controller(std::uint32_t node) const noexcept {
   // Controllers sit at the four corners of the node's own router grid (per
   // socket for NUMA), as in common tiled-CMP floorplans. The corner order
   // matches the legacy mesh so flat tie-breaks are unchanged.

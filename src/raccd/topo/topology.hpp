@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "raccd/common/types.hpp"
 
@@ -99,13 +100,25 @@ class Topology {
   /// single-socket topologies — identical to the legacy `line & (cores-1)`).
   [[nodiscard]] BankId home_bank(LineAddr line) const noexcept;
 
-  /// Cost one message leg between two nodes (XY routing per mesh; NUMA
-  /// routes through the sockets' gateway tiles and one inter-socket link).
-  [[nodiscard]] Route route(std::uint32_t from, std::uint32_t to) const noexcept;
+  /// Cost one message leg between two nodes: a lookup in the table that
+  /// the constructor fills from compute_route().
+  [[nodiscard]] Route route(std::uint32_t from, std::uint32_t to) const noexcept {
+    return routes_[static_cast<std::size_t>(from) * cores_ + to];
+  }
 
-  /// Node id of the memory controller serving `node` (nearest corner of the
-  /// node's own socket/router grid — memory is attached per socket).
-  [[nodiscard]] std::uint32_t mem_controller(std::uint32_t node) const noexcept;
+  /// Node id of the memory controller serving `node`: a lookup in the table
+  /// that the constructor fills from compute_mem_controller().
+  [[nodiscard]] std::uint32_t mem_controller(std::uint32_t node) const noexcept {
+    return mem_controllers_[node];
+  }
+
+  /// Route by coordinate math (XY routing per mesh; NUMA routes through the
+  /// sockets' gateway tiles and one inter-socket link).
+  [[nodiscard]] Route compute_route(std::uint32_t from, std::uint32_t to) const noexcept;
+
+  /// Memory controller by coordinate math: the nearest corner of the node's
+  /// own socket/router grid (memory is attached per socket).
+  [[nodiscard]] std::uint32_t compute_mem_controller(std::uint32_t node) const noexcept;
 
   /// Human-readable shape, e.g. "2 sockets x 8 cores (4x2 mesh/socket)".
   [[nodiscard]] std::string describe() const;
@@ -122,6 +135,8 @@ class Topology {
   std::uint32_t grid_w_ = 4;  ///< router-grid dims (per socket for kNuma)
   std::uint32_t grid_h_ = 4;
   std::uint32_t nodes_per_router_ = 1;  ///< >1 only for kCMesh
+  std::vector<Route> routes_;                   ///< cores x cores, row = from
+  std::vector<std::uint32_t> mem_controllers_;  ///< per node
 };
 
 /// Parse a topology token: "flat", "cmesh" / "cmesh<K>" (K cores per

@@ -98,7 +98,7 @@ TEST(L1Cache, WalkVisitsAllValid) {
   L1Cache l1(L1Geometry{});
   for (LineAddr l = 0; l < 100; ++l) l1.fill(l, l % 2 == 0, Mesi::kShared, false, 0);
   unsigned total = 0, nc = 0;
-  l1.for_each_valid([&](L1Line& line) {
+  l1.for_each_valid([&](const L1Line& line) {
     ++total;
     nc += line.nc ? 1 : 0;
   });

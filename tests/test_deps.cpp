@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "raccd/common/rng.hpp"
 #include "raccd/runtime/dep_registry.hpp"
 
 namespace raccd {
@@ -119,6 +121,153 @@ TEST(DepRegistry, ManySmallRangesStress) {
     }
   }
   EXPECT_LE(reg.segment_count(), 50u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential check against a per-byte oracle
+
+/// Brute-force dependence analysis: the last writer and the readers since
+/// that write, tracked for every byte of [base, base + span).
+class ByteOracle {
+ public:
+  ByteOracle(VAddr base, std::uint64_t span) : base_(base), bytes_(span) {}
+
+  void register_dep(TaskId t, const DepSpec& dep, std::vector<TaskId>& preds) {
+    const bool reads = dep.kind != DepKind::kOut;
+    const bool writes = dep.kind != DepKind::kIn;
+    for (VAddr a = dep.addr; a < dep.addr + dep.size; ++a) {
+      Byte& b = bytes_.at(a - base_);
+      if (b.writer != kNoTask && b.writer != t) preds.push_back(b.writer);
+      if (writes) {
+        for (const TaskId r : b.readers) {
+          if (r != t) preds.push_back(r);
+        }
+        b.writer = t;
+        b.readers.clear();
+      }
+      if (reads) b.readers.push_back(t);
+    }
+  }
+
+  [[nodiscard]] TaskId last_writer_at(VAddr addr) const {
+    if (addr < base_ || addr - base_ >= bytes_.size()) return kNoTask;
+    return bytes_[addr - base_].writer;
+  }
+
+ private:
+  struct Byte {
+    TaskId writer = kNoTask;
+    std::vector<TaskId> readers;
+  };
+  VAddr base_;
+  std::vector<Byte> bytes_;
+};
+
+std::vector<TaskId> sorted_unique(std::vector<TaskId> v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+/// Register `tasks` (each a dependence list) in both the registry and the
+/// oracle; every task's deduplicated predecessor set must match, and so must
+/// last_writer_at at random addresses in and around the span after each task.
+void expect_matches_oracle(const std::vector<std::vector<DepSpec>>& tasks, VAddr base,
+                           std::uint64_t span, std::uint64_t seed) {
+  DepRegistry reg;
+  ByteOracle oracle(base, span);
+  Rng rng(seed);
+  for (TaskId t = 0; t < tasks.size(); ++t) {
+    std::vector<TaskId> got, want;
+    for (const DepSpec& d : tasks[t]) {
+      reg.register_dep(t, d, got);
+      oracle.register_dep(t, d, want);
+    }
+    ASSERT_EQ(sorted_unique(got), sorted_unique(want)) << "task " << t << " seed " << seed;
+    for (int i = 0; i < 8; ++i) {
+      const VAddr a = base - 64 + rng.next_below(span + 128);
+      ASSERT_EQ(reg.last_writer_at(a), oracle.last_writer_at(a))
+          << "addr " << a << " after task " << t << " seed " << seed;
+    }
+  }
+}
+
+DepKind random_kind(Rng& rng) {
+  return static_cast<DepKind>(rng.next_below(3));
+}
+
+TEST(DepRegistryOracle, RandomOverlapsMatchPerByteOracle) {
+  // Short and long ranges over a small window: partial overlaps, ranges
+  // nested inside earlier ones and covering several, exact repeats of
+  // earlier ranges (the boundary-hit path), zero-size deps, and several deps
+  // of one task touching the same bytes.
+  constexpr VAddr kBase = 0x10000;
+  constexpr std::uint64_t kSpan = 4096;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    std::vector<std::vector<DepSpec>> tasks(400);
+    std::vector<DepSpec> seen;
+    for (auto& deps : tasks) {
+      const std::uint64_t n = 1 + rng.next_below(4);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        DepSpec d;
+        const std::uint64_t pick = rng.next_below(8);
+        if (pick == 0) {
+          d.size = 0;
+          d.addr = kBase + rng.next_below(kSpan);
+        } else if (pick <= 2 && !seen.empty()) {
+          d = seen[rng.next_below(seen.size())];  // same range again
+        } else {
+          d.size = 1 + rng.next_below(pick <= 5 ? 64 : 1024);
+          d.addr = kBase + rng.next_below(kSpan - d.size + 1);
+          seen.push_back(d);
+        }
+        d.kind = random_kind(rng);
+        deps.push_back(d);
+      }
+    }
+    expect_matches_oracle(tasks, kBase, kSpan, seed);
+  }
+}
+
+TEST(DepRegistryOracle, ServiceShapedStreamMatchesPerByteOracle) {
+  // The open-loop service pattern: 8 B shared slots probed and occasionally
+  // updated, private 2 KB scratch ranges written, chained and read back, one
+  // 8 B result word per request — plus an unaligned 2 KB range sweeping
+  // across slots and scratch to split them mid-segment.
+  constexpr std::uint64_t kSlots = 64;
+  constexpr std::uint64_t kScratchBytes = 2048;
+  constexpr std::uint64_t kRequests = 24;
+  constexpr VAddr kBase = 0x200000;
+  constexpr VAddr kShared = kBase;
+  constexpr VAddr kScratch = kShared + kSlots * 8;
+  constexpr VAddr kResults = kScratch + 8 * kScratchBytes;
+  constexpr std::uint64_t kSpan = kResults + kRequests * 8 - kBase;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    std::vector<std::vector<DepSpec>> tasks;
+    for (std::uint64_t r = 0; r < kRequests; ++r) {
+      const VAddr scratch = kScratch + (r % 8) * kScratchBytes;
+      tasks.push_back({{scratch, kScratchBytes, DepKind::kOut}});
+      for (int k = 0; k < 3; ++k) {
+        std::vector<DepSpec> lookup{{scratch, kScratchBytes, DepKind::kInout}};
+        for (int p = 0; p < 4; ++p) {
+          lookup.push_back({kShared + rng.next_below(kSlots) * 8, 8, DepKind::kIn});
+        }
+        if (k == 2 && rng.next_below(4) == 0) {
+          lookup.push_back({kShared + rng.next_below(kSlots) * 8, 8, DepKind::kInout});
+        }
+        tasks.push_back(std::move(lookup));
+      }
+      tasks.push_back({{scratch, kScratchBytes, DepKind::kIn},
+                       {kResults + r * 8, 8, DepKind::kOut}});
+      if (r % 6 == 5) {
+        const VAddr a = kBase + 4 + rng.next_below(kSpan - kScratchBytes - 8);
+        tasks.push_back({{a, kScratchBytes, random_kind(rng)}});
+      }
+    }
+    expect_matches_oracle(tasks, kBase, kSpan, seed);
+  }
 }
 
 }  // namespace

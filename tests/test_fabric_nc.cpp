@@ -3,7 +3,10 @@
 // PT page flush.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "fabric_test_util.hpp"
+#include "raccd/common/rng.hpp"
 
 namespace raccd {
 namespace {
@@ -179,6 +182,132 @@ TEST_F(FabricNcTest, RepeatHitAccounting) {
   fabric_.count_l1_repeat_hits(15);
   EXPECT_EQ(fabric_.stats().l1_accesses, before + 15);
   EXPECT_EQ(fabric_.stats().l1_hits, 15u);
+}
+
+// The flush visits only the slots that took NC fills since the last flush.
+// Whatever happened to those slots since — NC evictions, page-flush
+// invalidations, coherent or NC refills — it must drop exactly the valid NC
+// lines a full scan of the L1 finds, and write back the dirty ones.
+TEST_F(FabricNcTest, NcFlushMatchesFullScanAfterMixedTraffic) {
+  // 4 pages of lines over a 16-line L1: constant evictions. A line is NC or
+  // coherent for the whole run; NC lines stay private to core 0.
+  const auto is_nc = [](LineAddr l) { return (l >> 2) % 3 == 0; };
+  Rng rng(11);
+  std::uint64_t flushed = 0;
+  for (int round = 0; round < 300; ++round) {
+    const std::uint64_t ops = 1 + rng.next_below(24);
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      const LineAddr l = rng.next_below(256);
+      const std::uint64_t pick = rng.next_below(16);
+      if (pick == 0) {
+        (void)fabric_.flush_page_lines(0, l >> (kPageShift - kLineShift), t_++);
+      } else if (pick == 1 && !is_nc(l)) {
+        access(1, l, rng.next_below(2) == 0, false);  // may invalidate core 0's copy
+      } else {
+        access(0, l, rng.next_below(2) == 0, is_nc(l));
+      }
+    }
+    struct Dropped {
+      LineAddr line;
+      bool dirty;
+      std::uint64_t version;
+    };
+    std::vector<Dropped> want;
+    std::vector<LineAddr> kept;
+    fabric_.l1(0).for_each_valid([&](const L1Line& l) {
+      if (l.nc) {
+        want.push_back({l.line, l.dirty, l.version});
+      } else {
+        kept.push_back(l.line);
+      }
+    });
+    std::uint64_t dirty = 0;
+    for (const Dropped& d : want) dirty += d.dirty ? 1 : 0;
+    const FabricStats before = fabric_.stats();
+    const auto out = fabric_.flush_nc_lines(0, t_++);
+    ASSERT_EQ(out.lines, want.size()) << "round " << round;
+    EXPECT_EQ(out.writebacks, dirty);
+    EXPECT_EQ(out.cycles, fabric_.l1(0).line_capacity() *
+                              small_fabric_config().invalidate_walk_cycles_per_line);
+    EXPECT_EQ(fabric_.stats().l1_flush_nc_lines - before.l1_flush_nc_lines, want.size());
+    EXPECT_EQ(fabric_.stats().l1_flush_nc_wbs - before.l1_flush_nc_wbs, dirty);
+    EXPECT_EQ(fabric_.l1(0).nc_slot_count(), 0u);
+    for (const Dropped& d : want) {
+      EXPECT_EQ(fabric_.l1(0).find(d.line), nullptr);
+      if (!d.dirty) continue;
+      // The written-back version landed in the LLC, or in memory if the
+      // LLC no longer holds the line.
+      const LlcLine* ll = fabric_.llc(fabric_.topology().home_bank(d.line)).find(d.line);
+      if (ll != nullptr) {
+        EXPECT_TRUE(ll->dirty);
+        EXPECT_EQ(ll->version, d.version);
+      } else {
+        EXPECT_EQ(fabric_.mem_version(d.line), d.version);
+      }
+    }
+    for (const LineAddr l : kept) EXPECT_NE(fabric_.l1(0).find(l), nullptr);
+    flushed += want.size();
+  }
+  EXPECT_GT(flushed, 300u);
+  EXPECT_EQ(checker_.violations(), 0u);
+  expect_clean_scan();
+}
+
+TEST_F(FabricNcTest, NcSlotListStaysWithinCapacityWithoutFlushes) {
+  // PT classifies private pages NC and never runs the raccd_invalidate
+  // walk: the per-slot dedup bit keeps the list bounded by the L1 size.
+  const std::uint32_t capacity = fabric_.l1(0).line_capacity();
+  Rng rng(12);
+  for (int i = 0; i < 20000; ++i) {
+    const LineAddr l = rng.next_below(4096);
+    if (rng.next_below(64) == 0) {
+      (void)fabric_.flush_page_lines(0, l >> (kPageShift - kLineShift), t_++);
+    } else {
+      access(0, l, rng.next_below(2) == 0, true);
+    }
+    ASSERT_LE(fabric_.l1(0).nc_slot_count(), capacity);
+  }
+  EXPECT_EQ(fabric_.l1(0).nc_slot_count(), capacity);
+  EXPECT_EQ(checker_.violations(), 0u);
+}
+
+TEST(L1NcDrop, VisitsNcLinesInSetMajorOrder) {
+  // drop_nc_lines against a full scan of the array, under random NC and
+  // coherent fills, evictions, invalidations and refills of the same slots.
+  L1Cache l1{L1Geometry{}};
+  Rng rng(13);
+  std::uint64_t version = 0;
+  for (int round = 0; round < 200; ++round) {
+    const std::uint64_t ops = rng.next_below(400);
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      const LineAddr l = rng.next_below(2048);
+      if (rng.next_below(8) == 0) {
+        (void)l1.invalidate(l);
+      } else if (l1.find(l) == nullptr) {
+        const bool nc = rng.next_below(2) == 0;
+        (void)l1.fill(l, nc, Mesi::kShared, nc && rng.next_below(2) == 0, ++version);
+      }
+    }
+    std::vector<L1Line> want;
+    std::uint32_t coherent = 0;
+    l1.for_each_valid([&](const L1Line& l) {
+      if (l.nc) {
+        want.push_back(l);
+      } else {
+        ++coherent;
+      }
+    });
+    std::vector<L1Line> got;
+    l1.drop_nc_lines([&](const L1Line& old) { got.push_back(old); });
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].line, want[i].line) << "round " << round << " position " << i;
+      EXPECT_EQ(got[i].dirty, want[i].dirty);
+      EXPECT_EQ(got[i].version, want[i].version);
+      EXPECT_EQ(l1.find(want[i].line), nullptr);
+    }
+    EXPECT_EQ(l1.valid_lines(), coherent);
+  }
 }
 
 }  // namespace

@@ -162,6 +162,39 @@ TEST(OpenPageMap, BackwardShiftKeepsCollidedKeysFindable) {
   }
 }
 
+TEST(OpenAddrMap, GrowsAndKeepsEveryKeyFindable) {
+  // Unsized, as the dependence registry's begin index: inserts double the
+  // table whenever the load would pass 25%, rehashing every key.
+  OpenAddrMap<std::uint64_t> m;
+  const std::uint32_t initial = m.capacity();
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  Rng rng(14);
+  while (ref.size() < 20000) {
+    const std::uint64_t key = rng.next_below(1ull << 40) * 8;  // byte addresses
+    if (ref.count(key) != 0) continue;
+    m.insert(key, key ^ 0x5A5A);
+    ref[key] = key ^ 0x5A5A;
+    ASSERT_LE(m.size() * 4, m.capacity());
+  }
+  EXPECT_GT(m.capacity(), initial);
+  EXPECT_EQ(m.size(), ref.size());
+  for (const auto& [key, value] : ref) {
+    const std::uint64_t* got = m.find(key);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(*got, value);
+  }
+  std::uint32_t erased = 0;
+  for (const auto& [key, value] : ref) {
+    if ((value & 1) == 0) continue;
+    EXPECT_TRUE(m.erase(key));
+    ++erased;
+  }
+  for (const auto& [key, value] : ref) {
+    EXPECT_EQ(m.find(key) != nullptr, (value & 1) == 0);
+  }
+  EXPECT_EQ(m.size(), ref.size() - erased);
+}
+
 // ---------------------------------------------------------------------------
 // SoA tag probes vs brute-force scans
 

@@ -134,6 +134,40 @@ TEST(Topology, CMeshConcentratesRouters) {
   EXPECT_LT(topo.route(0, 15).total_hops(), flat.route(0, 15).total_hops());
 }
 
+TEST(Topology, RouteTablesMatchCoordinateMath) {
+  // route() and mem_controller() serve tables built at construction; every
+  // entry must equal the direct computation, on every topology kind and up
+  // to the 64-core limit (flat 8x8, numa2x32).
+  const struct {
+    const char* token;
+    std::uint32_t cores;
+  } shapes[] = {{"flat", 16}, {"flat", 64}, {"cmesh", 16}, {"cmesh8", 64},
+                {"numa2", 16}, {"numa4", 16}, {"numa2x32", 64}};
+  for (const auto& shape : shapes) {
+    TopologyConfig tc;
+    std::uint32_t cores = 0;
+    ASSERT_EQ(parse_topology(shape.token, tc, cores), "") << shape.token;
+    if (cores == 0) cores = shape.cores;
+    if (tc.kind == TopologyKind::kFlatMesh) {
+      tc.width = cores == 64 ? 8 : 4;
+      tc.height = cores / tc.width;
+    }
+    const Topology topo(tc, cores);
+    for (std::uint32_t from = 0; from < cores; ++from) {
+      for (std::uint32_t to = 0; to < cores; ++to) {
+        const Route got = topo.route(from, to);
+        const Route want = topo.compute_route(from, to);
+        SCOPED_TRACE(testing::Message() << shape.token << " " << from << "->" << to);
+        ASSERT_EQ(got.link_hops, want.link_hops);
+        ASSERT_EQ(got.socket_hops, want.socket_hops);
+        ASSERT_EQ(got.latency, want.latency);
+      }
+      ASSERT_EQ(topo.mem_controller(from), topo.compute_mem_controller(from))
+          << shape.token << " node " << from;
+    }
+  }
+}
+
 TEST(PhysMemorySockets, FirstTouchAllocatesOnRequestedSocket) {
   PhysMemory pm(128, AllocPolicy::kFirstTouch, /*seed=*/1, /*sockets=*/4);
   const PageNum f0 = pm.alloc_frame_on(0);
