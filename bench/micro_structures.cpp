@@ -11,7 +11,6 @@
 #include "raccd/common/rng.hpp"
 #include "raccd/core/ncrt.hpp"
 #include "raccd/dram/dram.hpp"
-#include "raccd/interval/interval_set.hpp"
 #include "raccd/mem/page_table.hpp"
 #include "raccd/runtime/dep_registry.hpp"
 #include "raccd/tlb/tlb.hpp"
@@ -209,17 +208,6 @@ void BM_DepRegistryServiceShaped(benchmark::State& state) {
   state.counters["segments"] = static_cast<double>(reg.segment_count());
 }
 BENCHMARK(BM_DepRegistryServiceShaped);
-
-void BM_IntervalSetInsert(benchmark::State& state) {
-  Rng rng(4);
-  IntervalSet set;
-  for (auto _ : state) {
-    const std::uint64_t a = rng.next_below(1 << 20);
-    set.insert(a, a + 64);
-    if (set.range_count() > 4096) set.clear();
-  }
-}
-BENCHMARK(BM_IntervalSetInsert);
 
 }  // namespace
 }  // namespace raccd

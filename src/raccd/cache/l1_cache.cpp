@@ -15,26 +15,8 @@ L1Cache::L1Cache(const L1Geometry& geo)
   nc_listed_.assign(static_cast<std::size_t>(sets_) * ways_, 0);
 }
 
-L1Line* L1Cache::find(LineAddr line) noexcept {
-  const std::uint32_t set = set_of(line);
-  const LineAddr* tags = tags_.data() + static_cast<std::size_t>(set) * ways_;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (tags[w] == line) return &at(set, w);
-  }
-  return nullptr;
-}
-
-const L1Line* L1Cache::find(LineAddr line) const noexcept {
-  return const_cast<L1Cache*>(this)->find(line);
-}
-
-void L1Cache::touch(const L1Line& l) noexcept {
-  const auto idx = static_cast<std::size_t>(&l - lines_.data());
-  repl_.touch(static_cast<std::uint32_t>(idx / ways_),
-              static_cast<std::uint32_t>(idx % ways_));
-}
-
-L1Line L1Cache::fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t version) {
+L1Line L1Cache::fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t version,
+                     L1Line** installed) {
   RACCD_DEBUG_ASSERT(find(line) == nullptr, "fill of already-resident line");
   const std::uint32_t set = set_of(line);
   std::uint32_t way = ways_;
@@ -59,6 +41,7 @@ L1Line L1Cache::fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t
     nc_listed_[slot] = 1;
     nc_slots_.push_back(slot);
   }
+  if (installed != nullptr) *installed = &lines_[slot];
   return evicted;
 }
 

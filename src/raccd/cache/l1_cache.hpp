@@ -59,15 +59,29 @@ class L1Cache {
   }
 
   /// Find a valid line; nullptr on miss. Does not update replacement state.
-  [[nodiscard]] L1Line* find(LineAddr line) noexcept;
-  [[nodiscard]] const L1Line* find(LineAddr line) const noexcept;
+  [[nodiscard]] L1Line* find(LineAddr line) noexcept {
+    const std::size_t base = static_cast<std::size_t>(set_of(line)) * ways_;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (tags_[base + w] == line) return &lines_[base + w];
+    }
+    return nullptr;
+  }
+  [[nodiscard]] const L1Line* find(LineAddr line) const noexcept {
+    return const_cast<L1Cache*>(this)->find(line);
+  }
 
   /// Update replacement state for an access to this (resident) line.
-  void touch(const L1Line& l) noexcept;
+  void touch(const L1Line& l) noexcept {
+    const std::uint32_t set = set_of(l.line);
+    const auto slot = static_cast<std::uint32_t>(&l - lines_.data());
+    repl_.touch(set, slot - set * ways_);
+  }
 
   /// Install `line`; returns the displaced valid victim (valid=false if the
   /// set had a free way). The caller handles victim writeback/notification.
-  L1Line fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t version);
+  /// `installed`, when non-null, receives the new line's slot.
+  L1Line fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t version,
+              L1Line** installed = nullptr);
 
   /// Invalidate one line if present; returns the old contents (valid=false
   /// if the line was not resident).

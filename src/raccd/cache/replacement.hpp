@@ -30,7 +30,7 @@ class ReplacementState {
  public:
   ReplacementState(ReplPolicy policy, std::uint32_t sets, std::uint32_t ways);
 
-  /// Record an access to (set, way).
+  /// Record an access to (set, way). Inline: every L1 hit calls it.
   void touch(std::uint32_t set, std::uint32_t way) noexcept;
 
   /// Way to evict in `set` (callers prefer invalid ways before asking).
@@ -48,5 +48,39 @@ class ReplacementState {
   std::vector<std::uint64_t> age_;      // per (set, way) stamp (LRU/FIFO)
   std::uint64_t clock_ = 0;
 };
+
+inline void ReplacementState::touch(std::uint32_t set, std::uint32_t way) noexcept {
+  RACCD_DEBUG_ASSERT(set < sets_ && way < ways_, "touch out of range");
+  switch (policy_) {
+    case ReplPolicy::kTreePlru: {
+      if (levels_ == 0) return;
+      // Walk root->leaf; at each level point the tree bit AWAY from `way`
+      // (victim() follows the bits: 0 = left, 1 = right).
+      std::uint64_t bits = tree_[set];
+      std::uint32_t node = 0;  // heap-style index, root = 0
+      for (unsigned level = 0; level < levels_; ++level) {
+        const std::uint32_t bit = (way >> (levels_ - 1 - level)) & 1u;
+        if (bit != 0) {
+          bits &= ~(1ULL << node);  // way is in right subtree -> point left (0)
+        } else {
+          bits |= (1ULL << node);  // way is in left subtree -> point right (1)
+        }
+        node = 2 * node + 1 + bit;
+      }
+      tree_[set] = bits;
+      break;
+    }
+    case ReplPolicy::kLru:
+      age_[static_cast<std::size_t>(set) * ways_ + way] = ++clock_;
+      break;
+    case ReplPolicy::kFifo: {
+      // FIFO stamps only on first touch (fill); callers touch on every
+      // access, so only overwrite a zero stamp.
+      auto& stamp = age_[static_cast<std::size_t>(set) * ways_ + way];
+      if (stamp == 0) stamp = ++clock_;
+      break;
+    }
+  }
+}
 
 }  // namespace raccd

@@ -614,59 +614,62 @@ Cycle Fabric::upgrade_to_m(CoreId c, LineAddr line, Cycle now) {
 // Public operations
 // ---------------------------------------------------------------------------
 
-AccessOutcome Fabric::access(CoreId c, LineAddr line, bool is_write, bool nc, Cycle now) {
+AccessOutcome Fabric::access_hit(CoreId c, L1Line& hit, bool is_write, Cycle now) {
+  RACCD_DEBUG_ASSERT(l1_[c]->find(hit.line) == &hit, "hit on a line not resident in c's L1");
+  count_l1_repeat_hits(1);
+  l1_[c]->touch(hit);
+  const LineAddr line = hit.line;
+  Cycle lat = cfg_.l1_hit_cycles;
+  if (!is_write) {
+    if (checker_ != nullptr) checker_->on_load(line, hit.version);
+    return AccessOutcome{lat, true, false};
+  }
+  if (hit.nc) {
+    store_nc_hit(hit);
+  } else {
+    switch (hit.coh) {
+      case Mesi::kModified:
+        store_version_bump(hit, line);
+        break;
+      case Mesi::kExclusive:
+        hit.coh = Mesi::kModified;  // silent E->M upgrade
+        store_version_bump(hit, line);
+        break;
+      case Mesi::kShared:
+        lat += upgrade_to_m(c, line, now + lat);
+        hit.coh = Mesi::kModified;
+        store_version_bump(hit, line);
+        break;
+      case Mesi::kInvalid:
+        RACCD_ASSERT(false, "valid coherent line in I state");
+        break;
+    }
+  }
+  return AccessOutcome{lat, true, false};
+}
+
+AccessOutcome Fabric::access_miss(CoreId c, LineAddr line, bool is_write, bool nc,
+                                  Cycle now) {
   RACCD_DEBUG_ASSERT(c < cfg_.cores, "core id out of range");
   ++st().l1_accesses;
   st().e_l1_pj += energy_.l1_access_pj();
-  L1Cache& l1c = *l1_[c];
-  Cycle lat = cfg_.l1_hit_cycles;
-
-  if (L1Line* hit = l1c.find(line)) {
-    ++st().l1_hits;
-    l1c.touch(*hit);
-    classifier_.record(line, hit->nc);
-    if (!is_write) {
-      if (checker_ != nullptr) checker_->on_load(line, hit->version);
-      return AccessOutcome{lat, true, false};
-    }
-    if (hit->nc) {
-      store_version_bump(*hit, line);
-    } else {
-      switch (hit->coh) {
-        case Mesi::kModified:
-          store_version_bump(*hit, line);
-          break;
-        case Mesi::kExclusive:
-          hit->coh = Mesi::kModified;  // silent E->M upgrade
-          store_version_bump(*hit, line);
-          break;
-        case Mesi::kShared:
-          lat += upgrade_to_m(c, line, now + lat);
-          hit->coh = Mesi::kModified;
-          store_version_bump(*hit, line);
-          break;
-        case Mesi::kInvalid:
-          RACCD_ASSERT(false, "valid coherent line in I state");
-          break;
-      }
-    }
-    return AccessOutcome{lat, true, false};
-  }
-
   ++st().l1_misses;
+  // Misses alone feed the block classifier: an L1 line's NC bit is written
+  // only by the fill below, so a later hit would record the same bit again.
   classifier_.record(line, nc);
   if (nc) {
     is_write ? ++st().nc_writes : ++st().nc_reads;
   } else {
     is_write ? ++st().coh_writes : ++st().coh_reads;
   }
+  Cycle lat = cfg_.l1_hit_cycles;
   const MissResult r =
       nc ? nc_miss(c, line, is_write, now + lat) : coherent_miss(c, line, is_write, now + lat);
   lat += r.latency;
 
-  const L1Line victim = l1c.fill(line, nc, r.grant, /*dirty=*/false, r.version);
+  L1Line* nl = nullptr;
+  const L1Line victim = l1_[c]->fill(line, nc, r.grant, /*dirty=*/false, r.version, &nl);
   if (victim.valid) handle_l1_victim(c, victim, now + lat);
-  L1Line* nl = l1c.find(line);
   if (is_write) {
     store_version_bump(*nl, line);
   } else if (checker_ != nullptr) {

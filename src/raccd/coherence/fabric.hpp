@@ -100,10 +100,25 @@ class Fabric {
 
   /// One load/store by core `c` to physical line `line` at time `now`.
   /// `nc` is the caller's classification (NCRT hit, or PT private page).
-  AccessOutcome access(CoreId c, LineAddr line, bool is_write, bool nc, Cycle now);
+  AccessOutcome access(CoreId c, LineAddr line, bool is_write, bool nc, Cycle now) {
+    L1Line* l = l1_[c]->find(line);
+    return l != nullptr ? access_hit(c, *l, is_write, now)
+                        : access_miss(c, line, is_write, nc, now);
+  }
+  /// access() split at its L1 probe, for a caller that already probed l1(c)
+  /// (the machine's replay loop): `hit` is c's resident copy of the line...
+  AccessOutcome access_hit(CoreId c, L1Line& hit, bool is_write, Cycle now);
+  /// ...or `line` is absent from c's L1.
+  AccessOutcome access_miss(CoreId c, LineAddr line, bool is_write, bool nc, Cycle now);
+  /// What a store hit on an NC line does besides counting and the L1 touch:
+  /// bump the line's version. Private-hit run-ahead does the rest itself.
+  void store_nc_hit(L1Line& hit) { store_version_bump(hit, hit.line); }
 
-  /// Account `n` run-length-merged repeat accesses as guaranteed L1 hits
-  /// (the trace replayer proves residency; see trace/access_trace.hpp).
+  /// Account `n` accesses as L1 hits that need no further fabric work: the
+  /// run-length-merged repeats whose residency the trace replayer proves
+  /// (trace/access_trace.hpp), or a whole run of private hits, summed by the
+  /// machine before accounting (exact: the counters commute, and run-ahead
+  /// requires an integral l1_access_pj).
   void count_l1_repeat_hits(std::uint64_t n) noexcept {
     st().l1_accesses += n;
     st().l1_hits += n;

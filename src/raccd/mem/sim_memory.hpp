@@ -41,15 +41,26 @@ class SimMemory {
   }
 
   // -- Functional access (host side; no timing) ------------------------------
+  // A typed access stays inside one line (the trace recorder asserts it),
+  // and chunk boundaries are line-aligned, so it is one memcpy from one
+  // chunk. copy_out/copy_in handle bulk copies that cross chunks.
   template <typename T>
   [[nodiscard]] T read(VAddr va) const {
+    RACCD_DEBUG_ASSERT(va >= kArenaBase && va + sizeof(T) <= next_,
+                       "functional read out of arena");
+    RACCD_DEBUG_ASSERT(chunk_offset(va) + sizeof(T) <= kChunkBytes,
+                       "typed read straddles a chunk");
     T out;
-    copy_out(va, &out, sizeof(T));
+    std::memcpy(&out, chunks_[chunk_index(va)].get() + chunk_offset(va), sizeof(T));
     return out;
   }
   template <typename T>
   void write(VAddr va, const T& value) {
-    copy_in(va, &value, sizeof(T));
+    RACCD_DEBUG_ASSERT(va >= kArenaBase && va + sizeof(T) <= next_,
+                       "functional write out of arena");
+    RACCD_DEBUG_ASSERT(chunk_offset(va) + sizeof(T) <= kChunkBytes,
+                       "typed write straddles a chunk");
+    std::memcpy(chunks_[chunk_index(va)].get() + chunk_offset(va), &value, sizeof(T));
   }
   void copy_out(VAddr va, void* dst, std::uint64_t n) const;
   void copy_in(VAddr va, const void* src, std::uint64_t n);

@@ -77,6 +77,14 @@ Machine::Machine(const SimConfig& cfg)
     }
   }
   backend_ = make_backend(BackendContext{cfg_, fabric_, mem_, tlbs_});
+  // Each guard below is an observer of the global order a run-ahead hit
+  // would move: the series and the sampled phases snapshot counters at
+  // global instants, the checker's golden versions follow store order, and
+  // ADR polls the directory's dirty mask after every record at its clock.
+  // Summing L1 energy out of order is exact only in whole picojoules.
+  const double l1_pj = cfg_.fabric.energy.l1_access_pj;
+  run_ahead_ = backend_->nc_lines_private() && cfg_.series.interval == 0 && !sampling_on_ &&
+               !cfg_.enable_checker && !cfg_.adr.enabled && l1_pj == std::trunc(l1_pj);
   if (cfg_.series.interval > 0) {
     sampler_ = std::make_unique<StatSampler>(
         cfg_.series, [this](Cycle at, SimStats& s) { snapshot_stats(at, s); });
@@ -201,13 +209,14 @@ void Machine::taskwait() {
       if (sampler_) sampler_->observe(cores_[c].clock);
       step(c);
       if (cores_[c].sleeping) break;
-      // Fast path: keep stepping this core while it provably remains the
-      // global minimum, skipping the per-step heap round trip. Strict
-      // (clock, id) comparison against the top reproduces the push-then-pop
-      // order exactly (a stale top only underestimates its core's clock, so
-      // it can only send us down the slow path, never reorder steps).
-      // A pending release at or before this clock also exits: the slow
-      // path must perform the release before anything steps past it.
+      if (run_ahead_) run_private_hits(c);
+      // Keep stepping this core while it provably remains the global
+      // minimum, skipping the per-step heap round trip. Strict (clock, id)
+      // comparison against the top reproduces the push-then-pop order
+      // exactly (a stale top only underestimates its core's clock, so it can
+      // only send us down the slow path, never reorder steps). A pending
+      // release at or before this clock also exits: the slow path must
+      // perform the release before anything steps past it.
       if (!rt_.all_finished() &&
           (run_heap_.empty() || ClockEntry{cores_[c].clock, c} < run_heap_.top()) &&
           !(rt_.next_release(due) && due <= cores_[c].clock)) {
@@ -223,6 +232,38 @@ void Machine::taskwait() {
   if (tr) {
     obs_->end(obs::TraceCat::kTask, obs::kPidRuntime, 0, obs_ids_.taskwait, end);
   }
+}
+
+void Machine::run_private_hits(CoreId c) {
+  CoreState& cs = cores_[c];
+  const auto& recs = cs.trace.records();
+  Tlb& tlb = tlbs_[c];
+  L1Cache& l1 = fabric_.l1(c);
+  const Cycle hit_cycles = cfg_.fabric.l1_hit_cycles;
+  // replay_record's work for a TLB hit on a resident NC line: no walk, no
+  // classification, l1_hit_cycles per access (hits see no overlap scaling)
+  // and no ADR poll (ADR disables run-ahead). The hits are counted once for
+  // the whole run; see count_l1_repeat_hits.
+  std::size_t i = cs.cursor;
+  Cycle spent = 0;
+  std::uint64_t hits = 0;
+  for (; i < recs.size(); ++i) {
+    const AccessRecord& r = recs[i];
+    const std::uint32_t slot = tlb.peek(page_of(r.vaddr));
+    if (slot == Tlb::kNoSlot) break;
+    L1Line* l = l1.find(line_of((tlb.frame(slot) << kPageShift) | page_offset(r.vaddr)));
+    if (l == nullptr || !l->nc) break;
+    tlb.hit(slot);
+    l1.touch(*l);
+    if (r.is_write != 0) fabric_.store_nc_hit(*l);
+    hits += r.repeat;
+    spent += r.compute_gap + static_cast<Cycle>(r.repeat) * hit_cycles;
+  }
+  cs.cursor = i;
+  cs.clock += spent;
+  cs.busy_cycles += spent;
+  accesses_replayed_ += hits;
+  fabric_.count_l1_repeat_hits(hits);
 }
 
 void Machine::step(CoreId c) {
@@ -367,7 +408,8 @@ void Machine::replay_task_ffwd(CoreId c) {
       const LineAddr line = line_of(paddr);
   
       bool nc = false;
-      if (cs.classify && fabric_.l1(c).find(line) == nullptr) {
+      L1Line* resident = fabric_.l1(c).find(line);
+      if (cs.classify && resident == nullptr) {
         // Batch classification: each page goes through the ClassifierView
         // once per task; later accesses reuse the memoized verdict.
         auto it = std::lower_bound(
@@ -379,7 +421,10 @@ void Machine::replay_task_ffwd(CoreId c) {
         }
         nc = it->second;
       }
-      const AccessOutcome out = fabric_.access(c, line, r.is_write != 0, nc, cs.clock);
+      const AccessOutcome out =
+          resident != nullptr
+              ? fabric_.access_hit(c, *resident, r.is_write != 0, cs.clock)
+              : fabric_.access_miss(c, line, r.is_write != 0, nc, cs.clock);
       if (!out.l1_hit) n_miss += 1.0;
       if (r.repeat > 1) fabric_.count_l1_repeat_hits(r.repeat - 1);
     }
@@ -494,9 +539,10 @@ void Machine::replay_record(CoreId c) {
 
   // Classify the request on an L1 miss through the backend's cached view
   // (NCRT lookup / PT page class / always-NC; null view = always coherent).
+  // Classification never fills c's L1, so the probe stays valid below.
   bool nc = false;
-  const bool l1_resident = fabric_.l1(c).find(line) != nullptr;
-  if (!l1_resident && cs.classify) {
+  L1Line* resident = fabric_.l1(c).find(line);
+  if (resident == nullptr && cs.classify) {
     const AccessClass ac = cs.classify(c, r.vaddr, paddr, tr.pframe, cs.clock + extra);
     extra += ac.extra_cycles;
     nc = ac.nc;
@@ -519,7 +565,10 @@ void Machine::replay_record(CoreId c) {
     fh0 = n.total_flit_hops();
   }
 
-  const AccessOutcome out = fabric_.access(c, line, r.is_write != 0, nc, cs.clock + extra);
+  const AccessOutcome out =
+      resident != nullptr
+          ? fabric_.access_hit(c, *resident, r.is_write != 0, cs.clock + extra)
+          : fabric_.access_miss(c, line, r.is_write != 0, nc, cs.clock + extra);
   Cycle stall = out.latency;
   if (!out.l1_hit && cfg_.timing.miss_overlap > 1.0) {
     const Cycle l1h = cfg_.fabric.l1_hit_cycles;

@@ -64,6 +64,9 @@ class Machine {
   [[nodiscard]] CoherenceChecker* checker() noexcept {
     return cfg_.enable_checker ? &checker_ : nullptr;
   }
+  /// Whether the event loop replays private NC L1 hits ahead of the global
+  /// order (run_private_hits). Fixed at construction; never changes stats.
+  [[nodiscard]] bool runs_ahead() const noexcept { return run_ahead_; }
 
   /// Observer invoked as each task finishes, with the task's node (deps,
   /// name) and its recorded access trace — the hook trace capture
@@ -142,12 +145,16 @@ class Machine {
   };
 
   /// Pop the awake core with the lowest (clock, id) from the run heap
-  /// (kNoCore when every core sleeps). O(log cores) per step instead of the
-  /// old O(cores) scan — the heap is what keeps the DES loop cheap at the
-  /// 64-core counts multi-socket topologies reach.
+  /// (kNoCore when every core sleeps).
   [[nodiscard]] CoreId pop_min_clock_core();
   /// Advance core c by one step (fetch a task, replay one record, or finish).
   void step(CoreId c);
+  /// Private-hit run-ahead: replay core c's next records, past other cores'
+  /// clocks, while each is a TLB hit on a line resident in c's L1 with the
+  /// NC bit set. Stops before the first other record (or the task's end),
+  /// which then waits for its turn in the global order. Exact because such
+  /// a hit commutes with every other core's event (DESIGN.md).
+  void run_private_hits(CoreId c);
   void start_task(CoreId c, TaskId t);
   void replay_record(CoreId c);
   void finish_task(CoreId c);
@@ -185,14 +192,18 @@ class Machine {
   std::vector<CoreState> cores_;
   Cycle main_clock_ = 0;
 
-  /// Min-heap over (local clock, core id) of awake cores. Invariant: every
-  /// awake core has exactly one live entry at its current clock (entries go
-  /// stale only if a core slept after its entry was consumed — the pop
-  /// validates before returning). Lexicographic order reproduces the legacy
-  /// linear scan's tie-break exactly (lowest clock, then lowest core id).
+  /// Min-heap over (local clock, core id) of awake cores: the global order
+  /// of every event that other cores can observe (misses, coherent hits,
+  /// task starts and ends). A core popped at its clock steps once, then
+  /// runs ahead through its private hits (run_ahead_) and keeps stepping
+  /// while it stays the strict minimum. Each awake core has one live entry
+  /// at its current clock; entries of cores that slept since are stale and
+  /// skipped by the pop. Ties break on the lower core id.
   using ClockEntry = std::pair<Cycle, CoreId>;
   std::priority_queue<ClockEntry, std::vector<ClockEntry>, std::greater<ClockEntry>>
       run_heap_;
+  /// Private-hit run-ahead is on; decided once, in the constructor.
+  bool run_ahead_ = false;
 
   // accumulated runtime-cost stats
   Cycle create_cycles_ = 0;

@@ -12,47 +12,12 @@ Tlb::Tlb(std::uint32_t capacity)
   for (std::uint32_t i = 0; i < capacity_; ++i) free_.push_back(capacity_ - 1 - i);
 }
 
-void Tlb::unlink(std::uint32_t slot) noexcept {
-  Entry& e = entries_[slot];
-  if (e.prev != kNil) {
-    entries_[e.prev].next = e.next;
-  } else {
-    head_ = e.next;
-  }
-  if (e.next != kNil) {
-    entries_[e.next].prev = e.prev;
-  } else {
-    tail_ = e.prev;
-  }
-  e.prev = e.next = kNil;
-}
-
-void Tlb::push_front(std::uint32_t slot) noexcept {
-  Entry& e = entries_[slot];
-  e.prev = kNil;
-  e.next = head_;
-  if (head_ != kNil) entries_[head_].prev = slot;
-  head_ = slot;
-  if (tail_ == kNil) tail_ = slot;
-}
-
 Tlb::Result Tlb::access(PageNum vpage, const PageTable& pt) {
-  ++stats_.lookups;
-  if (vpage == last_vpage_) {
-    ++stats_.hits;
-    return Result{true, last_pframe_};
-  }
-  if (const std::uint32_t* found = index_.find(vpage)) {
-    ++stats_.hits;
-    const std::uint32_t slot = *found;
-    if (slot != head_) {
-      unlink(slot);
-      push_front(slot);
-    }
-    last_vpage_ = vpage;
-    last_pframe_ = entries_[slot].pframe;
+  if (const std::uint32_t slot = peek(vpage); slot != kNoSlot) {
+    hit(slot);
     return Result{true, entries_[slot].pframe};
   }
+  ++stats_.lookups;
   // Miss: walk the page table and install.
   ++stats_.misses;
   const PageNum pframe = pt.frame_of(vpage);
@@ -71,7 +36,6 @@ Tlb::Result Tlb::access(PageNum vpage, const PageTable& pt) {
   push_front(slot);
   index_.insert(vpage, slot);
   last_vpage_ = vpage;
-  last_pframe_ = pframe;
   return Result{false, pframe};
 }
 
@@ -90,14 +54,14 @@ bool Tlb::invalidate(PageNum vpage) {
 void Tlb::flush() {
   // Walk the LRU chain (valid entries exactly) so the free list refills in
   // MRU-to-LRU order, then reset the index wholesale.
-  for (std::uint32_t slot = head_; slot != kNil;) {
+  for (std::uint32_t slot = head_; slot != kNoSlot;) {
     const std::uint32_t next = entries_[slot].next;
-    entries_[slot].prev = entries_[slot].next = kNil;
+    entries_[slot].prev = entries_[slot].next = kNoSlot;
     free_.push_back(slot);
     slot = next;
   }
   index_.clear();
-  head_ = tail_ = kNil;
+  head_ = tail_ = kNoSlot;
   last_vpage_ = ~PageNum{0};
 }
 

@@ -36,10 +36,33 @@ class Tlb {
     bool hit = false;
     PageNum pframe = 0;
   };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   /// Look up vpage; on miss, walk `pt` and install the translation (evicting
   /// the LRU entry if full). Result.hit reports whether the walk was needed.
   Result access(PageNum vpage, const PageTable& pt);
+
+  /// Side-effect-free lookup: the slot holding vpage's translation, or
+  /// kNoSlot when access() would walk. Pair with frame() and hit() to do
+  /// exactly what a hitting access() does, with one lookup.
+  [[nodiscard]] std::uint32_t peek(PageNum vpage) const noexcept {
+    if (vpage == last_vpage_) return head_;  // the filter mirrors the MRU entry
+    const std::uint32_t* found = const_cast<OpenPageMap&>(index_).find(vpage);
+    return found != nullptr ? *found : kNoSlot;
+  }
+  [[nodiscard]] PageNum frame(std::uint32_t slot) const noexcept {
+    return entries_[slot].pframe;
+  }
+  /// Account a hit on a slot peek() returned: stats, LRU order, filter.
+  void hit(std::uint32_t slot) noexcept {
+    ++stats_.lookups;
+    ++stats_.hits;
+    if (slot != head_) {
+      unlink(slot);
+      push_front(slot);
+    }
+    last_vpage_ = entries_[slot].vpage;
+  }
 
   /// Invalidate one entry (TLB shootdown). Returns true if it was present.
   bool invalidate(PageNum vpage);
@@ -59,24 +82,43 @@ class Tlb {
   struct Entry {
     PageNum vpage = 0;
     PageNum pframe = 0;
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
+    std::uint32_t prev = kNoSlot;
+    std::uint32_t next = kNoSlot;
   };
-  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-  void unlink(std::uint32_t slot) noexcept;
-  void push_front(std::uint32_t slot) noexcept;
+  void unlink(std::uint32_t slot) noexcept {
+    Entry& e = entries_[slot];
+    if (e.prev != kNoSlot) {
+      entries_[e.prev].next = e.next;
+    } else {
+      head_ = e.next;
+    }
+    if (e.next != kNoSlot) {
+      entries_[e.next].prev = e.prev;
+    } else {
+      tail_ = e.prev;
+    }
+    e.prev = e.next = kNoSlot;
+  }
+  void push_front(std::uint32_t slot) noexcept {
+    Entry& e = entries_[slot];
+    e.prev = kNoSlot;
+    e.next = head_;
+    if (head_ != kNoSlot) entries_[head_].prev = slot;
+    head_ = slot;
+    if (tail_ == kNoSlot) tail_ = slot;
+  }
 
   std::uint32_t capacity_;
   std::vector<Entry> entries_;          // slot storage
   std::vector<std::uint32_t> free_;     // free slots
   OpenPageMap index_;                   // vpage -> slot
-  std::uint32_t head_ = kNil;  // most recently used
-  std::uint32_t tail_ = kNil;  // least recently used
+  std::uint32_t head_ = kNoSlot;  // most recently used
+  std::uint32_t tail_ = kNoSlot;  // least recently used
   // Single-entry filter for the common same-page-as-last-access case; keeps
-  // host cost of the per-access timing lookup negligible.
+  // host cost of the per-access timing lookup negligible. When set it names
+  // the MRU entry (head_).
   PageNum last_vpage_ = ~PageNum{0};
-  PageNum last_pframe_ = 0;
   TlbStats stats_;
 };
 

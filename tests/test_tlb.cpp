@@ -26,6 +26,34 @@ TEST_F(TlbTest, MissThenHit) {
   EXPECT_EQ(tlb.stats().hits, 1u);
 }
 
+// Private-hit run-ahead translates with peek() + hit(): peek must change
+// nothing, and peek + hit must leave exactly the state a hitting access()
+// leaves (stats, LRU order, the same-page filter).
+TEST_F(TlbTest, PeekIsPureAndPeekPlusHitMatchesAccess) {
+  Tlb a(3), b(3);
+  for (PageNum v : {1, 2, 3}) {
+    (void)a.access(v, pt_);
+    (void)b.access(v, pt_);
+  }
+  EXPECT_EQ(b.peek(9), Tlb::kNoSlot);
+  for (PageNum v : {1, 1, 2, 3, 1}) {
+    const std::uint32_t slot = b.peek(v);
+    ASSERT_NE(slot, Tlb::kNoSlot);
+    EXPECT_EQ(b.peek(v), slot);
+    EXPECT_EQ(b.frame(slot), v + 100);
+    b.hit(slot);
+    EXPECT_EQ(a.access(v, pt_).pframe, b.frame(slot));
+  }
+  EXPECT_EQ(a.stats().lookups, b.stats().lookups);
+  EXPECT_EQ(a.stats().hits, b.stats().hits);
+  EXPECT_EQ(a.stats().misses, b.stats().misses);
+  // Same LRU order: the next miss evicts the same page (2) in both.
+  (void)a.access(4, pt_);
+  (void)b.access(4, pt_);
+  for (PageNum v : {1, 2, 3, 4}) EXPECT_EQ(a.contains(v), b.contains(v)) << v;
+  EXPECT_FALSE(b.contains(2));
+}
+
 TEST_F(TlbTest, LruEviction) {
   Tlb tlb(2);
   tlb.access(1, pt_);
