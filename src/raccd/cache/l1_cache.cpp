@@ -8,7 +8,7 @@ namespace raccd {
 L1Cache::L1Cache(const L1Geometry& geo)
     : sets_(geo.sets()),
       ways_(geo.ways),
-      repl_(geo.repl, geo.sets(), geo.ways) {
+      repl_(geo.sets(), geo.ways) {
   RACCD_ASSERT(is_pow2(sets_), "L1 set count must be a power of two");
   lines_.resize(static_cast<std::size_t>(sets_) * ways_);
   tags_.assign(static_cast<std::size_t>(sets_) * ways_, kNoTag);

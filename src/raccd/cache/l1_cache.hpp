@@ -42,7 +42,6 @@ struct L1Line {
 struct L1Geometry {
   std::uint32_t size_bytes = 32 * 1024;
   std::uint32_t ways = 2;
-  ReplPolicy repl = ReplPolicy::kTreePlru;
 
   [[nodiscard]] std::uint32_t sets() const noexcept {
     return size_bytes / kLineBytes / ways;

@@ -9,7 +9,7 @@ LlcBank::LlcBank(const LlcGeometry& geo)
     : sets_(geo.sets()),
       ways_(geo.ways),
       bank_bits_(geo.bank_bits),
-      repl_(geo.repl, geo.sets(), geo.ways) {
+      repl_(geo.sets(), geo.ways) {
   RACCD_ASSERT(is_pow2(sets_), "LLC bank set count must be a power of two");
   lines_.resize(static_cast<std::size_t>(sets_) * ways_);
   tags_.assign(static_cast<std::size_t>(sets_) * ways_, kNoTag);

@@ -27,7 +27,6 @@ struct LlcGeometry {
   std::uint32_t lines_per_bank = 32768;  ///< paper: 2 MB / 64 B
   std::uint32_t ways = 8;
   std::uint32_t bank_bits = 4;  ///< log2(bank count); strips bank-select bits
-  ReplPolicy repl = ReplPolicy::kTreePlru;
 
   [[nodiscard]] std::uint32_t sets() const noexcept { return lines_per_bank / ways; }
 };

@@ -10,8 +10,7 @@ DirectoryBank::DirectoryBank(const DirGeometry& geo)
       active_sets_(total_sets_),
       ways_(geo.ways),
       bank_bits_(geo.bank_bits),
-      repl_policy_(geo.repl),
-      repl_(geo.repl, total_sets_, geo.ways) {
+      repl_(total_sets_, geo.ways) {
   RACCD_ASSERT(is_pow2(total_sets_), "directory bank set count must be a power of two");
   entries_.resize(static_cast<std::size_t>(total_sets_) * ways_);
   tags_.assign(static_cast<std::size_t>(total_sets_) * ways_, kNoTag);
@@ -98,7 +97,7 @@ std::uint32_t DirectoryBank::resize(std::uint32_t new_active_sets,
   tags_.assign(tags_.size(), kNoTag);
   valid_count_ = 0;
   active_sets_ = new_active_sets;
-  repl_ = ReplacementState(repl_policy_, total_sets_, ways_);
+  repl_ = ReplacementState(total_sets_, ways_);
   std::uint32_t moved = 0;
   for (const DirEntry& s : survivors) {
     const std::uint32_t set = set_of(s.line);

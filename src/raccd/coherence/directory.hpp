@@ -35,7 +35,6 @@ struct DirGeometry {
   std::uint32_t entries_per_bank = 32768;
   std::uint32_t ways = 8;
   std::uint32_t bank_bits = 4;  ///< log2(bank count)
-  ReplPolicy repl = ReplPolicy::kTreePlru;
 };
 
 class DirectoryBank {
@@ -106,7 +105,6 @@ class DirectoryBank {
   std::uint32_t active_sets_;
   std::uint32_t ways_;
   std::uint32_t bank_bits_;
-  ReplPolicy repl_policy_;
   std::vector<DirEntry> entries_;
   /// SoA mirror of (valid, line); find() scans this contiguous vector.
   std::vector<LineAddr> tags_;

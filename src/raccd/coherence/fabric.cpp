@@ -103,7 +103,6 @@ Cycle Fabric::msg(std::uint32_t from, std::uint32_t to, MsgClass cls) {
 
 Cycle Fabric::bank_service(Cycle& busy_until, Cycle arrive, Cycle service) noexcept {
   if (phase_ == SimPhase::kFfwd) return 0;  // functional: no busy windows
-  if (!cfg_.model_bank_contention) return service;
   const Cycle start = std::max(arrive, busy_until);
   busy_until = start + service;
   return (start - arrive) + service;

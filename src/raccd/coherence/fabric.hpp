@@ -60,16 +60,14 @@ struct FabricConfig {
   L1Geometry l1{};
   LlcGeometry llc{};
   DirGeometry dir{};
-  MeshConfig mesh{};
-  /// Machine shape (flat mesh by default; flat grid dims and link timing are
-  /// reconciled from `mesh` so the two configs cannot drift).
+  MeshConfig mesh{};  ///< message sizing
+  /// Machine shape, grid size and link timing (a 4x4 flat mesh by default).
   TopologyConfig topo{};
   Cycle l1_hit_cycles = 2;
   Cycle llc_cycles = 15;
   Cycle dir_cycles = 15;
   Cycle mem_cycles = 150;
   Cycle invalidate_walk_cycles_per_line = 1;  ///< raccd_invalidate L1 walk cost
-  bool model_bank_contention = true;
   EnergyConfig energy{};
   /// Memory system behind the controllers (dram/dram.hpp). The default
   /// kSimple model reproduces the flat mem_cycles latency byte-identically.

@@ -4,7 +4,9 @@
 
 namespace raccd {
 
-RaccdEngine::RaccdEngine(std::uint32_t cores, const RaccdEngineConfig& cfg) : cfg_(cfg) {
+RaccdEngine::RaccdEngine(std::uint32_t cores, const RaccdEngineConfig& cfg,
+                         Cycle tlb_walk_cycles)
+    : cfg_(cfg), tlb_walk_cycles_(tlb_walk_cycles) {
   for (std::uint32_t c = 0; c < cores; ++c) {
     ncrts_.push_back(std::make_unique<Ncrt>(cfg_.ncrt_entries));
   }
@@ -30,7 +32,7 @@ RegisterOutcome RaccdEngine::register_region(CoreId c, VAddr va, std::uint64_t s
     out.cycles += cfg_.per_page_lookup_cycles;
     if (!res.hit) {
       ++out.tlb_misses;
-      out.cycles += cfg_.tlb_walk_cycles;
+      out.cycles += tlb_walk_cycles_;
     }
     const PAddr frame_base = res.pframe << kPageShift;
     const PAddr chunk_start = frame_base + (page_va < va ? page_offset(va) : 0);

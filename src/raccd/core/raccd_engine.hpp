@@ -27,7 +27,6 @@ struct RaccdEngineConfig {
   std::uint32_t ncrt_entries = 32;
   Cycle instr_overhead_cycles = 4;     ///< issue/commit cost of either instruction
   Cycle per_page_lookup_cycles = 1;    ///< one TLB access per page of the region
-  Cycle tlb_walk_cycles = 50;          ///< page walk on TLB miss
   Cycle per_insert_cycles = 1;         ///< one NCRT write per collapsed range
 };
 
@@ -41,7 +40,9 @@ struct RegisterOutcome {
 
 class RaccdEngine {
  public:
-  RaccdEngine(std::uint32_t cores, const RaccdEngineConfig& cfg);
+  /// `tlb_walk_cycles` is the page-walk cost of a TLB miss
+  /// (TimingConfig::tlb_walk_cycles, the machine's one walk cost).
+  RaccdEngine(std::uint32_t cores, const RaccdEngineConfig& cfg, Cycle tlb_walk_cycles);
 
   /// Execute raccd_register(va, size) on core `c`.
   RegisterOutcome register_region(CoreId c, VAddr va, std::uint64_t size, Tlb& tlb,
@@ -66,6 +67,7 @@ class RaccdEngine {
 
  private:
   RaccdEngineConfig cfg_;
+  Cycle tlb_walk_cycles_;
   std::vector<std::unique_ptr<Ncrt>> ncrts_;
 };
 

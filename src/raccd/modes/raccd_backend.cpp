@@ -11,7 +11,8 @@
 namespace raccd {
 
 RaccdBackend::RaccdBackend(const BackendContext& ctx)
-    : CoherenceBackend(ctx), engine_(ctx.cfg.fabric.cores, ctx.cfg.raccd) {}
+    : CoherenceBackend(ctx),
+      engine_(ctx.cfg.fabric.cores, ctx.cfg.raccd, ctx.cfg.timing.tlb_walk_cycles) {}
 
 void RaccdBackend::on_obs_trace() {
   if (obs_trace_ == nullptr) return;

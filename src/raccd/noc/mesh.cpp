@@ -3,33 +3,6 @@
 #include "raccd/common/assert.hpp"
 
 namespace raccd {
-namespace {
-
-[[nodiscard]] TopologyConfig flat_topo_from(const MeshConfig& cfg) {
-  TopologyConfig t;
-  t.kind = TopologyKind::kFlatMesh;
-  t.sockets = 1;
-  t.width = cfg.width;
-  t.height = cfg.height;
-  t.link_cycles = cfg.link_cycles;
-  t.router_cycles = cfg.router_cycles;
-  return t;
-}
-
-/// Geometry/timing authority is the topology; mirror the mesh's link timing
-/// into it (and, for flat meshes, the grid dims) so one config cannot drift
-/// from the other.
-[[nodiscard]] TopologyConfig reconciled(const MeshConfig& cfg, TopologyConfig t) {
-  t.link_cycles = cfg.link_cycles;
-  t.router_cycles = cfg.router_cycles;
-  if (t.kind == TopologyKind::kFlatMesh) {
-    t.width = cfg.width;
-    t.height = cfg.height;
-  }
-  return t;
-}
-
-}  // namespace
 
 std::uint64_t NocStats::total_messages() const noexcept {
   std::uint64_t sum = 0;
@@ -46,14 +19,8 @@ std::uint64_t NocStats::total_flit_hops() const noexcept {
   for (const auto& c : per_class) sum += c.flit_hops;
   return sum;
 }
-Mesh::Mesh(const MeshConfig& cfg)
-    : cfg_(cfg), topo_(flat_topo_from(cfg), cfg.width * cfg.height) {
-  RACCD_ASSERT(cfg_.width > 0 && cfg_.height > 0, "empty mesh");
-  RACCD_ASSERT(cfg_.flit_bytes > 0, "flit size must be positive");
-}
-
 Mesh::Mesh(const MeshConfig& cfg, const TopologyConfig& topo, std::uint32_t cores)
-    : cfg_(cfg), topo_(reconciled(cfg, topo), cores) {
+    : cfg_(cfg), topo_(topo, cores) {
   RACCD_ASSERT(cfg_.flit_bytes > 0, "flit size must be positive");
 }
 

@@ -41,11 +41,8 @@ inline constexpr std::size_t kMsgClassCount = 5;
   return "?";
 }
 
+/// Message sizing. Grid size and link timing come from the TopologyConfig.
 struct MeshConfig {
-  std::uint32_t width = 4;
-  std::uint32_t height = 4;
-  Cycle link_cycles = 1;
-  Cycle router_cycles = 1;
   std::uint32_t flit_bytes = 16;
   std::uint32_t control_bytes = 8;                 ///< header-only message payload
   std::uint32_t data_bytes = 8 + kLineBytes;       ///< header + cache line
@@ -83,10 +80,7 @@ struct NocStats {
 
 class Mesh {
  public:
-  /// Legacy single-socket construction: a flat mesh of cfg.width x cfg.height.
-  explicit Mesh(const MeshConfig& cfg);
-  /// Topology-driven construction (cfg supplies flit sizing; geometry and
-  /// link timing come from `topo`).
+  /// `cfg` supplies flit sizing; geometry and link timing come from `topo`.
   Mesh(const MeshConfig& cfg, const TopologyConfig& topo, std::uint32_t cores);
 
   [[nodiscard]] std::uint32_t node_count() const noexcept { return topo_.cores(); }

@@ -10,12 +10,11 @@ SimConfig SimConfig::scaled(CohMode mode) {
   SimConfig cfg;
   cfg.mode = mode;
   cfg.fabric.cores = 16;
-  cfg.fabric.l1 = L1Geometry{32 * 1024, 2, ReplPolicy::kTreePlru};
+  cfg.fabric.l1 = L1Geometry{32 * 1024, 2};
   cfg.fabric.llc.lines_per_bank = 2048;  // 128 KB/bank, 2 MB total
   cfg.fabric.llc.ways = 8;
   cfg.fabric.dir.entries_per_bank = 2048;  // 1:1
   cfg.fabric.dir.ways = 8;
-  cfg.fabric.mesh = MeshConfig{};  // 4x4, 1-cycle link + router
   cfg.fabric.energy.dir_ref_entries = 2048;
   cfg.fabric.energy.llc_ref_lines = 2048;
   return cfg;

@@ -12,11 +12,8 @@ namespace raccd {
 
 void print_config(const SimConfig& cfg, std::FILE* out) {
   const auto& f = cfg.fabric;
-  // Mesh reconciles the topology with the mesh config exactly as the fabric
-  // will, so the printed shape is the simulated one.
-  const Mesh shape(f.mesh, f.topo, f.cores);
   std::fprintf(out, "machine: %u cores, %s, mode=%s\n", f.cores,
-               shape.topology().describe().c_str(), to_string(cfg.mode));
+               Topology(f.topo, f.cores).describe().c_str(), to_string(cfg.mode));
   std::fprintf(out, "  L1D: %s, %u-way, %u-cycle | TLB: %u entries\n",
                format_bytes(f.l1.size_bytes).c_str(), f.l1.ways,
                static_cast<unsigned>(f.l1_hit_cycles), cfg.tlb_entries);

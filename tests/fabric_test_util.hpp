@@ -10,9 +10,10 @@ namespace raccd::testutil {
 inline FabricConfig small_fabric_config() {
   FabricConfig cfg;
   cfg.cores = 4;
-  cfg.mesh = MeshConfig{2, 2, 1, 1, 16, 8, 72};
-  cfg.l1 = L1Geometry{1024, 2, ReplPolicy::kTreePlru};  // 8 sets x 2 ways
-  cfg.llc.lines_per_bank = 64;                          // 8 sets x 8 ways
+  cfg.topo.width = 2;
+  cfg.topo.height = 2;
+  cfg.l1 = L1Geometry{1024, 2};  // 8 sets x 2 ways
+  cfg.llc.lines_per_bank = 64;   // 8 sets x 8 ways
   cfg.llc.ways = 8;
   cfg.dir.entries_per_bank = 64;
   cfg.dir.ways = 8;

@@ -8,7 +8,7 @@ namespace raccd {
 namespace {
 
 TEST(Replacement, TreePlruTwoWay) {
-  ReplacementState r(ReplPolicy::kTreePlru, 4, 2);
+  ReplacementState r(4, 2);
   r.touch(0, 0);
   EXPECT_EQ(r.victim(0), 1u);
   r.touch(0, 1);
@@ -16,14 +16,14 @@ TEST(Replacement, TreePlruTwoWay) {
 }
 
 TEST(Replacement, TreePlruEightWayPointsAwayFromRecent) {
-  ReplacementState r(ReplPolicy::kTreePlru, 1, 8);
+  ReplacementState r(1, 8);
   for (std::uint32_t w = 0; w < 8; ++w) r.touch(0, w);
   // After touching 0..7 in order, the victim must not be the most recent.
   EXPECT_NE(r.victim(0), 7u);
 }
 
 TEST(Replacement, TreePlruCoversAllWaysUnderRoundRobinTouches) {
-  ReplacementState r(ReplPolicy::kTreePlru, 1, 4);
+  ReplacementState r(1, 4);
   // Repeatedly touch the current victim: every way must eventually be chosen.
   bool seen[4] = {};
   for (int i = 0; i < 16; ++i) {
@@ -32,26 +32,6 @@ TEST(Replacement, TreePlruCoversAllWaysUnderRoundRobinTouches) {
     r.touch(0, v);
   }
   EXPECT_TRUE(seen[0] && seen[1] && seen[2] && seen[3]);
-}
-
-TEST(Replacement, LruExactOrder) {
-  ReplacementState r(ReplPolicy::kLru, 1, 4);
-  r.touch(0, 2);
-  r.touch(0, 0);
-  r.touch(0, 3);
-  r.touch(0, 1);
-  EXPECT_EQ(r.victim(0), 2u);
-  r.touch(0, 2);
-  EXPECT_EQ(r.victim(0), 0u);
-}
-
-TEST(Replacement, FifoIgnoresReTouches) {
-  ReplacementState r(ReplPolicy::kFifo, 1, 3);
-  r.touch(0, 0);
-  r.touch(0, 1);
-  r.touch(0, 2);
-  r.touch(0, 0);  // re-touch must not refresh FIFO age
-  EXPECT_EQ(r.victim(0), 0u);
 }
 
 TEST(L1Cache, GeometryAndBasicFill) {

@@ -3,7 +3,9 @@
 // recovery, and end-to-end functional correctness with the checker on.
 #include <gtest/gtest.h>
 
+#include "raccd/apps/registry.hpp"
 #include "raccd/coherence/checker.hpp"
+#include "raccd/harness/experiment.hpp"
 #include "raccd/sim/machine.hpp"
 
 namespace raccd {
@@ -330,6 +332,38 @@ TEST(Machine, FragmentedAllocationStillCorrect) {
   // Fragmented frames defeat range collapsing: more NCRT inserts than with
   // contiguous allocation (one per page run), possibly overflowing.
   EXPECT_GT(s.ncrt.inserts, 16u);
+}
+
+// Laws that bind the counters of any unsampled run, checked on every
+// registered workload at tiny under every backend and both memory models:
+// each cache level's hits and misses partition its demand lookups, no core
+// is busy longer than the run, and the DDR model's per-operation energies
+// sum to the memory total.
+TEST(ConservationLaws, HoldOnEveryRegisteredWorkload) {
+  for (const std::string& workload : WorkloadRegistry::instance().names()) {
+    for (const CohMode mode : kAllBackends) {
+      for (const char* dram : {"simple", "ddr"}) {
+        RunSpec spec;
+        spec.app = workload;
+        spec.size = SizeClass::kTiny;
+        spec.mode = mode;
+        spec.dram = dram;
+        SCOPED_TRACE(spec.key());
+        const SimStats s = run_one(spec);
+        const FabricStats& f = s.fabric;
+        EXPECT_GT(f.l1_accesses, 0u);
+        EXPECT_EQ(f.l1_hits + f.l1_misses, f.l1_accesses);
+        EXPECT_EQ(f.llc_hits + f.llc_misses, f.llc_lookups);
+        EXPECT_EQ(f.dir_hits + f.dir_misses, f.dir_lookups);
+        EXPECT_LE(s.busy_cycles, s.cycles * config_for(spec).fabric.cores);
+        if (spec.dram == "ddr") {
+          const double split = f.e_mem_act_pj + f.e_mem_rd_pj + f.e_mem_wr_pj + f.e_mem_pre_pj;
+          EXPECT_GT(f.e_mem_pj, 0.0);
+          EXPECT_NEAR(f.e_mem_pj, split, 1e-9 * f.e_mem_pj);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -38,7 +38,8 @@ TEST(Ncrt, OverflowRejectsAndCounts) {
 
 class RegisterTest : public ::testing::Test {
  protected:
-  RegisterTest() : engine_(1, RaccdEngineConfig{}), tlb_(64) {}
+  static constexpr Cycle kWalk = 50;
+  RegisterTest() : engine_(1, RaccdEngineConfig{}, kWalk), tlb_(64) {}
   RaccdEngine engine_;
   Tlb tlb_;
   PageTable pt_;
@@ -92,7 +93,7 @@ TEST_F(RegisterTest, LatencyGrowsWithPagesAndWalks) {
   EXPECT_GT(cold.cycles, warm.cycles);
   const auto& cfg = engine_.config();
   EXPECT_EQ(cold.cycles, cfg.instr_overhead_cycles + 16 * cfg.per_page_lookup_cycles +
-                             16 * cfg.tlb_walk_cycles + cfg.per_insert_cycles);
+                             16 * kWalk + cfg.per_insert_cycles);
 }
 
 TEST_F(RegisterTest, FragmentedMappingNeedsManyEntriesAndOverflows) {
@@ -100,7 +101,7 @@ TEST_F(RegisterTest, FragmentedMappingNeedsManyEntriesAndOverflows) {
   for (PageNum v = 0; v < 64; ++v) pt_.map(v, v * 2);
   RaccdEngineConfig cfg;
   cfg.ncrt_entries = 8;
-  RaccdEngine small(1, cfg);
+  RaccdEngine small(1, cfg, kWalk);
   const auto out = small.register_region(0, 0, 16 * kPageBytes, tlb_, pt_);
   EXPECT_TRUE(out.overflowed);
   EXPECT_EQ(out.ranges_inserted, 8u);
@@ -123,7 +124,7 @@ TEST_F(RegisterTest, ZeroSizeRegionIsNoop) {
 }
 
 TEST_F(RegisterTest, PerCoreTablesAreIndependent) {
-  RaccdEngine multi(4, RaccdEngineConfig{});
+  RaccdEngine multi(4, RaccdEngineConfig{}, kWalk);
   pt_.map(0, 5);
   multi.register_region(2, 0, 64, tlb_, pt_);
   EXPECT_TRUE(multi.is_noncoherent(2, 5 * kPageBytes));

@@ -5,8 +5,11 @@
 namespace raccd {
 namespace {
 
+/// The default machine's NoC: a 4x4 flat mesh, 1-cycle links and routers.
+Mesh default_mesh() { return Mesh{MeshConfig{}, TopologyConfig{}, 16}; }
+
 TEST(Mesh, HopCountsOn4x4) {
-  Mesh mesh{MeshConfig{}};
+  Mesh mesh = default_mesh();
   EXPECT_EQ(mesh.node_count(), 16u);
   EXPECT_EQ(mesh.hops(0, 0), 0u);
   EXPECT_EQ(mesh.hops(0, 3), 3u);
@@ -17,7 +20,7 @@ TEST(Mesh, HopCountsOn4x4) {
 }
 
 TEST(Mesh, HopsSymmetric) {
-  Mesh mesh{MeshConfig{}};
+  Mesh mesh = default_mesh();
   for (std::uint32_t a = 0; a < 16; ++a) {
     for (std::uint32_t b = 0; b < 16; ++b) {
       EXPECT_EQ(mesh.hops(a, b), mesh.hops(b, a));
@@ -26,7 +29,7 @@ TEST(Mesh, HopsSymmetric) {
 }
 
 TEST(Mesh, FlitSizing) {
-  Mesh mesh{MeshConfig{}};
+  Mesh mesh = default_mesh();
   // control: 8 B in 16 B flits -> 1 flit; data: 72 B -> 5 flits.
   EXPECT_EQ(mesh.flits_for(MsgClass::kRequest), 1u);
   EXPECT_EQ(mesh.flits_for(MsgClass::kInval), 1u);
@@ -36,7 +39,7 @@ TEST(Mesh, FlitSizing) {
 }
 
 TEST(Mesh, LatencyModel) {
-  Mesh mesh{MeshConfig{}};
+  Mesh mesh = default_mesh();
   // Same tile: free. 1 hop control: link+router = 2. 1 hop data: 2 + 4 body flits.
   EXPECT_EQ(mesh.latency(0, 0, MsgClass::kRequest), 0u);
   EXPECT_EQ(mesh.latency(0, 1, MsgClass::kRequest), 2u);
@@ -45,7 +48,7 @@ TEST(Mesh, LatencyModel) {
 }
 
 TEST(Mesh, TrafficAccounting) {
-  Mesh mesh{MeshConfig{}};
+  Mesh mesh = default_mesh();
   mesh.transfer(0, 15, MsgClass::kResponseData);  // 5 flits x 6 hops
   mesh.transfer(3, 3, MsgClass::kRequest);        // local: 0 flit-hops
   mesh.transfer(0, 1, MsgClass::kInval);          // 1 flit x 1 hop
@@ -58,7 +61,7 @@ TEST(Mesh, TrafficAccounting) {
 }
 
 TEST(Mesh, NearestMemoryController) {
-  Mesh mesh{MeshConfig{}};
+  Mesh mesh = default_mesh();
   EXPECT_EQ(mesh.nearest_memory_controller(0), 0u);
   EXPECT_EQ(mesh.nearest_memory_controller(3), 3u);
   EXPECT_EQ(mesh.nearest_memory_controller(12), 12u);
@@ -68,7 +71,10 @@ TEST(Mesh, NearestMemoryController) {
 }
 
 TEST(Mesh, NonSquareGeometry) {
-  Mesh mesh{MeshConfig{8, 2, 1, 1, 16, 8, 72}};
+  TopologyConfig topo;
+  topo.width = 8;
+  topo.height = 2;
+  Mesh mesh{MeshConfig{}, topo, 16};
   EXPECT_EQ(mesh.node_count(), 16u);
   EXPECT_EQ(mesh.hops(0, 15), 8u);  // (0,0)->(7,1)
 }

@@ -29,8 +29,8 @@ SimStats run_traced(const std::string& workload, CohMode mode, std::uint32_t cor
                     obs::TraceSink* sink) {
   SimConfig cfg = SimConfig::scaled(mode);
   cfg.fabric.cores = cores;
-  cfg.fabric.mesh.width = cores;  // flat mesh: geometry must match core count
-  cfg.fabric.mesh.height = 1;
+  cfg.fabric.topo.width = cores;  // flat mesh: geometry must match core count
+  cfg.fabric.topo.height = 1;
   Machine m(cfg);
   if (sink != nullptr) m.set_obs_trace(sink);
   std::string err;

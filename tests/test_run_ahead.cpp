@@ -5,8 +5,10 @@
 // guards, so a checker run replays strictly in order: every registered
 // workload at tiny, under RaCCD and WbNC, on five machine axes, runs once
 // each way and the two SimStats must agree field for field while the checker
-// scans clean. PT and the ADR axis run the same comparison with both runs in
-// order, so it fails if their hits were ever let run ahead.
+// scans clean. PT, FullCoh and the ADR axis run the same comparison with both
+// runs in order, so it fails if their hits were ever let run ahead; under
+// FullCoh every line is coherent, so its checker run also covers the
+// directory's tree-PLRU victims and the recalls they send.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -112,9 +114,11 @@ TEST_P(RunAhead, MatchesInOrderCheckedReplay) {
   const Outcome ahead = run(c.workload, cfg);
 
   // The two runs took different paths through the event loop, except where
-  // a guard keeps both in order (PT's NC lines are shared; ADR)...
+  // a guard keeps both in order (PT's NC lines are shared; FullCoh has no NC
+  // lines; ADR)...
   EXPECT_FALSE(in_order.ran_ahead);
-  EXPECT_EQ(ahead.ran_ahead, c.mode != CohMode::kPT && !c.axis->adr);
+  EXPECT_EQ(ahead.ran_ahead,
+            c.mode != CohMode::kPT && c.mode != CohMode::kFullCoh && !c.axis->adr);
   // ...both computed the right answer, coherently...
   EXPECT_EQ(in_order.verify, "");
   EXPECT_EQ(ahead.verify, "");
@@ -131,7 +135,8 @@ TEST_P(RunAhead, MatchesInOrderCheckedReplay) {
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
   for (const std::string& w : WorkloadRegistry::instance().names()) {
-    for (const CohMode mode : {CohMode::kRaCCD, CohMode::kWbNC, CohMode::kPT}) {
+    for (const CohMode mode :
+         {CohMode::kRaCCD, CohMode::kWbNC, CohMode::kPT, CohMode::kFullCoh}) {
       for (const Axis& axis : kAxes) cases.push_back(Case{w, mode, &axis});
     }
   }
