@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
                        strprintf("%.1f", 100.0 * metric_value(s, "dram.row_hit_rate")),
                        format_count(s.fabric.dram_queue_wait_cycles),
                        format_count(s.fabric.mem_wb_wait_cycles),
-                       strprintf("%.1f", s.mem_dyn_energy_pj / 1e3)});
+                       strprintf("%.1f", s.fabric.e_mem_pj / 1e3)});
       }
     }
   }

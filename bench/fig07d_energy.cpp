@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   for (std::size_t a = 0; a < g.apps.size(); ++a) {
     const SimStats& full = g.at(a, CohMode::kFullCoh, 256);
     const SimStats& raccd = g.at(a, CohMode::kRaCCD, 256);
-    noc_save += 1.0 - raccd.noc_dyn_energy_pj / full.noc_dyn_energy_pj;
-    llc_save += 1.0 - raccd.llc_dyn_energy_pj / full.llc_dyn_energy_pj;
+    noc_save += 1.0 - raccd.fabric.e_noc_pj / full.fabric.e_noc_pj;
+    llc_save += 1.0 - raccd.fabric.e_llc_pj / full.fabric.e_llc_pj;
   }
   noc_save = 100.0 * noc_save / static_cast<double>(g.apps.size());
   llc_save = 100.0 * llc_save / static_cast<double>(g.apps.size());

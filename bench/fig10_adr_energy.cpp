@@ -37,18 +37,18 @@ int main(int argc, char** argv) {
   double save_vs_raccd = 0.0;
   unsigned save_samples = 0;
   for (std::size_t a = 0; a < apps.size(); ++a) {
-    const double base = variant(apps[a], 0).dir_dyn_energy_pj;
+    const double base = variant(apps[a], 0).fabric.e_dir_pj;
     std::vector<std::string> row{apps[a]};
     for (int v = 0; v < 4; ++v) {
-      const double norm = variant(apps[a], v).dir_dyn_energy_pj / base;
+      const double norm = variant(apps[a], v).fabric.e_dir_pj / base;
       sums[v] += norm;
       row.push_back(strprintf("%.3f", norm));
     }
     // Fully-annotated apps can have zero directory energy under RaCCD;
     // the relative ADR saving is only defined where the base is nonzero.
-    if (variant(apps[a], 2).dir_dyn_energy_pj > 0.0) {
-      save_vs_raccd += 1.0 - variant(apps[a], 3).dir_dyn_energy_pj /
-                                 variant(apps[a], 2).dir_dyn_energy_pj;
+    if (variant(apps[a], 2).fabric.e_dir_pj > 0.0) {
+      save_vs_raccd += 1.0 - variant(apps[a], 3).fabric.e_dir_pj /
+                                 variant(apps[a], 2).fabric.e_dir_pj;
       ++save_samples;
     }
     row.push_back(strprintf(

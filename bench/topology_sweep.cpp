@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                        format_count(s.noc.cross_socket.flit_hops),
                        strprintf("%.1f", cross_pct),
                        format_count(s.fabric.dir_reqs_cross_socket),
-                       strprintf("%.1f", s.noc_dyn_energy_pj / 1e3)});
+                       strprintf("%.1f", s.fabric.e_noc_pj / 1e3)});
       }
     }
   }
@@ -89,8 +89,8 @@ int main(int argc, char** argv) {
           workloads[w].c_str(), topologies[t].c_str(),
           static_cast<unsigned long long>(f.fabric.dir_reqs_cross_socket),
           static_cast<unsigned long long>(r.fabric.dir_reqs_cross_socket),
-          reduced ? "reduced" : "NOT reduced", f.noc_dyn_energy_pj / 1e3,
-          r.noc_dyn_energy_pj / 1e3);
+          reduced ? "reduced" : "NOT reduced", f.fabric.e_noc_pj / 1e3,
+          r.fabric.e_noc_pj / 1e3);
     }
   }
   std::printf("%s\n", any_reduction

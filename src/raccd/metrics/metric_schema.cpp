@@ -279,13 +279,13 @@ namespace {
       // -- Energy (paper Fig. 7d, 10) ---------------------------------------------
       RACCD_METRIC("energy.dir_dyn_pj", "dir_dyn_energy_pj", "pJ", kEnergy,
                    "directory dynamic energy (the headline, Fig. 7d/10)",
-                   s.dir_dyn_energy_pj),
+                   s.fabric.e_dir_pj),
       RACCD_METRIC("energy.llc_dyn_pj", "llc_dyn_energy_pj", "pJ", kEnergy,
-                   "LLC dynamic energy", s.llc_dyn_energy_pj),
+                   "LLC dynamic energy", s.fabric.e_llc_pj),
       RACCD_METRIC("energy.noc_dyn_pj", "noc_dyn_energy_pj", "pJ", kEnergy,
-                   "NoC dynamic energy", s.noc_dyn_energy_pj),
+                   "NoC dynamic energy", s.fabric.e_noc_pj),
       RACCD_METRIC("energy.mem_dyn_pj", "mem_dyn_energy_pj", "pJ", kEnergy,
-                   "memory dynamic energy", s.mem_dyn_energy_pj),
+                   "memory dynamic energy", s.fabric.e_mem_pj),
       RACCD_METRIC("energy.mem_act_pj", "mem_act_energy_pj", "pJ", kEnergy,
                    "DRAM activate energy (kDdr per-op split of the memory total)",
                    s.fabric.e_mem_act_pj),
@@ -296,7 +296,7 @@ namespace {
       RACCD_METRIC("energy.mem_pre_pj", "mem_pre_energy_pj", "pJ", kEnergy,
                    "DRAM precharge energy", s.fabric.e_mem_pre_pj),
       RACCD_METRIC("energy.l1_dyn_pj", "l1_dyn_energy_pj", "pJ", kEnergy,
-                   "L1 dynamic energy", s.l1_dyn_energy_pj),
+                   "L1 dynamic energy", s.fabric.e_l1_pj),
       RACCD_METRIC("energy.dir_leak_pj", "dir_leak_energy_pj", "pJ", kEnergy,
                    "directory leakage over powered entry-cycles",
                    s.dir_leak_energy_pj),

@@ -734,11 +734,6 @@ void Machine::snapshot_stats(Cycle at, SimStats& s) const {
   }
   s.avg_dir_occupancy = occ_sum / cfg_.fabric.cores;
   s.avg_dir_active_frac = active_sum / cfg_.fabric.cores;
-  s.dir_dyn_energy_pj = s.fabric.e_dir_pj;
-  s.llc_dyn_energy_pj = s.fabric.e_llc_pj;
-  s.noc_dyn_energy_pj = s.fabric.e_noc_pj;
-  s.mem_dyn_energy_pj = s.fabric.e_mem_pj;
-  s.l1_dyn_energy_pj = s.fabric.e_l1_pj;
   // Leakage over the powered entry-cycles accumulated so far.
   double leak = 0.0;
   for (BankId b = 0; b < cfg_.fabric.cores; ++b) {
@@ -889,13 +884,6 @@ void Machine::apply_sampling(SimStats& s) const {
     sp.dram_row_hit_rate_ci95 = ci95_half_width(r_rowrate);
     sp.dir_occupancy_ci95 = ci95_half_width(r_occ);
   }
-  // Re-derive the energy roll-ups from the extrapolated fabric bucket
-  // (leakage stays exact: it integrates state over the dilated timeline).
-  s.dir_dyn_energy_pj = s.fabric.e_dir_pj;
-  s.llc_dyn_energy_pj = s.fabric.e_llc_pj;
-  s.noc_dyn_energy_pj = s.fabric.e_noc_pj;
-  s.mem_dyn_energy_pj = s.fabric.e_mem_pj;
-  s.l1_dyn_energy_pj = s.fabric.e_l1_pj;
 }
 
 }  // namespace raccd

@@ -53,8 +53,7 @@ std::string SimStats::summary() const {
                    static_cast<unsigned long long>(blocks_noncoherent),
                    static_cast<unsigned long long>(blocks_touched));
   out += strprintf("  energy: dir %.1f nJ, llc %.1f nJ, noc %.1f nJ\n",
-                   dir_dyn_energy_pj / 1e3, llc_dyn_energy_pj / 1e3,
-                   noc_dyn_energy_pj / 1e3);
+                   fabric.e_dir_pj / 1e3, fabric.e_llc_pj / 1e3, fabric.e_noc_pj / 1e3);
   return out;
 }
 

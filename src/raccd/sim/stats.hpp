@@ -105,12 +105,7 @@ struct ServiceStats {
   /* Directory occupancy (paper Fig. 8) and ADR power state */                 \
   X(double, avg_dir_occupancy) /* vs configured capacity */                    \
   X(double, avg_dir_active_frac) /* powered fraction (ADR) */                  \
-  /* Energy (paper Fig. 7d, 10); directory dynamic energy is the headline. */  \
-  X(double, dir_dyn_energy_pj)                                                 \
-  X(double, llc_dyn_energy_pj)                                                 \
-  X(double, noc_dyn_energy_pj)                                                 \
-  X(double, mem_dyn_energy_pj)                                                 \
-  X(double, l1_dyn_energy_pj)                                                  \
+  /* Energy (paper Fig. 7d, 10): dynamic energy is fabric.e_*_pj. */           \
   X(double, dir_leak_energy_pj)                                                \
   X(SamplingStats, sampling) /* sampled simulation (zero for detailed runs) */ \
   X(ServiceStats, service) /* open-loop service runs (zero for batch runs) */
@@ -118,10 +113,8 @@ struct ServiceStats {
 struct SimStats {
   RACCD_FIELDS(SimStats, RACCD_SIM_STATS_FIELDS)
 
-  // Derived (paper Fig. 7a/7b/7c)
-  [[nodiscard]] std::uint64_t dir_accesses() const noexcept { return fabric.dir_accesses; }
+  // Derived (paper Fig. 7b)
   [[nodiscard]] double llc_hit_ratio() const noexcept { return fabric.llc_hit_ratio(); }
-  [[nodiscard]] std::uint64_t noc_traffic() const noexcept { return noc.total_flit_hops(); }
 
   [[nodiscard]] std::string summary() const;
 };

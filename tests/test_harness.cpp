@@ -93,24 +93,51 @@ TEST(StatsIo, GoldenEntryRoundTripsByteForByte) {
   // One member per struct, read back from the line that holds it.
   EXPECT_EQ(s->mode, CohMode::kWbNC);
   EXPECT_TRUE(s->adr_enabled);
-  EXPECT_EQ(s->dir_ratio, 30u);
+  EXPECT_EQ(s->dir_ratio, 29u);
   EXPECT_EQ(s->cycles, 19u);
   EXPECT_DOUBLE_EQ(s->core_utilization, 17.25);
-  EXPECT_EQ(s->fabric.l1_hits, 58u);
-  EXPECT_DOUBLE_EQ(s->fabric.e_mem_pj, 42.25);
-  EXPECT_EQ(s->noc.per_class[2].flits, 95u);
-  EXPECT_EQ(s->noc.cross_socket.flit_hops, 103u);
-  EXPECT_EQ(s->noc.socket_link_flits, 107u);
-  EXPECT_EQ(s->ncrt.overflows, 87u);
-  EXPECT_EQ(s->tlb.misses, 153u);
-  EXPECT_EQ(s->pt.transitions, 111u);
+  EXPECT_EQ(s->fabric.l1_hits, 56u);
+  EXPECT_DOUBLE_EQ(s->fabric.e_mem_pj, 41.25);
+  EXPECT_EQ(s->noc.per_class[2].flits, 91u);
+  EXPECT_EQ(s->noc.cross_socket.flit_hops, 99u);
+  EXPECT_EQ(s->noc.socket_link_flits, 102u);
+  EXPECT_EQ(s->ncrt.overflows, 83u);
+  EXPECT_EQ(s->tlb.misses, 148u);
+  EXPECT_EQ(s->pt.transitions, 106u);
   EXPECT_EQ(s->adr.entries_moved, 6u);
-  EXPECT_EQ(s->sampling.active, 113u);
-  EXPECT_DOUBLE_EQ(s->sampling.scale, 126.25);
-  EXPECT_EQ(s->service.requests, 142u);
-  EXPECT_EQ(s->service.queueing.count, 136u);
-  EXPECT_DOUBLE_EQ(s->service.service.p95, 147.25);
-  EXPECT_DOUBLE_EQ(s->service.e2e.max, 131.25);
+  EXPECT_EQ(s->sampling.active, 108u);
+  EXPECT_DOUBLE_EQ(s->sampling.scale, 121.25);
+  EXPECT_EQ(s->service.requests, 137u);
+  EXPECT_EQ(s->service.queueing.count, 131u);
+  EXPECT_DOUBLE_EQ(s->service.service.p95, 142.25);
+  EXPECT_DOUBLE_EQ(s->service.e2e.max, 126.25);
+}
+
+// Entries written before the dynamic-energy totals were read from
+// `fabric.e_*_pj` also carry five `*_dyn_energy_pj` mirror lines. They stay
+// v5 entries: the loader skips the retired keys, so such an entry loads to
+// the same values and re-serializes to today's bytes.
+TEST(StatsIo, EntryWithRetiredEnergyMirrorsLoadsToEqualValues) {
+  const std::string golden = read_file(RACCD_TEST_DATA_DIR "/stats_v5_golden.stats");
+  const std::string with_mirrors = golden +
+                                   "dir_dyn_energy_pj=37.25\n"
+                                   "llc_dyn_energy_pj=39.25\n"
+                                   "noc_dyn_energy_pj=45.25\n"
+                                   "mem_dyn_energy_pj=41.25\n"
+                                   "l1_dyn_energy_pj=38.25\n";
+  const auto want = stats_from_text(golden);
+  const auto got = stats_from_text(with_mirrors);
+  ASSERT_TRUE(want.has_value());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(stats_to_text(*got), golden);
+  std::size_t leaves = 0, equal = 0;
+  for_each_leaf(
+      [&](const auto& a, const auto& b) {
+        ++leaves;
+        equal += std::memcmp(&a, &b, sizeof a) == 0 ? 1 : 0;
+      },
+      *want, *got);
+  EXPECT_EQ(equal, leaves);
 }
 
 TEST(StatsIo, RejectsWrongVersion) {
@@ -378,11 +405,9 @@ TEST(BenchOptionsDeathTest, UnknownSizeExitsWithMessage) {
 }
 
 // Stored fields that no MetricSchema value reads, by cache key: the run's
-// identity, the fabric's energy buckets (reported through the *_dyn_energy_pj
-// roll-ups), the sampling gate and the distribution sample counts.
+// identity, the sampling gate and the distribution sample counts.
 const std::set<std::string> kCacheOnlyKeys = {
     "mode", "dir_ratio", "adr_enabled",
-    "e_dir_pj", "e_llc_pj", "e_l1_pj", "e_noc_pj", "e_mem_pj",
     "sampling_active",
     "service_queue_count", "service_svc_count", "service_e2e_count",
 };

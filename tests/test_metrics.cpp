@@ -103,9 +103,9 @@ const char* const kExpectedNames[] = {
   s.noc.per_class[0].flit_hops = 7;
   s.noc.per_class[1].flit_hops = 5;
   s.noc.cross_socket.flit_hops = 3;
-  s.dir_dyn_energy_pj = 1.5;
-  s.llc_dyn_energy_pj = 2.25;
-  s.noc_dyn_energy_pj = 0.125;
+  s.fabric.e_dir_pj = 1.5;
+  s.fabric.e_llc_pj = 2.25;
+  s.fabric.e_noc_pj = 0.125;
   s.dir_leak_energy_pj = 10.0;
   s.noncoherent_block_fraction = 0.5;
   s.avg_dir_occupancy = 0.125;
@@ -277,7 +277,7 @@ TEST(Emitters, JsonEscaping) {
 TEST(Emitters, NonFiniteValuesEmitAsNull) {
   SimStats s;
   s.avg_dir_occupancy = std::nan("");
-  s.dir_dyn_energy_pj = std::numeric_limits<double>::infinity();
+  s.fabric.e_dir_pj = std::numeric_limits<double>::infinity();
   const std::string payload = bench_metrics_json(s);
   EXPECT_NE(payload.find("\"avg_dir_occupancy\": null"), std::string::npos);
   EXPECT_NE(payload.find("\"dir_dyn_energy_pj\": null"), std::string::npos);

@@ -76,7 +76,7 @@ TEST(Modes, FullCohDegradesWithTinyDirectoryRaccdTolerates) {
 TEST(Modes, RaccdCutsDirectoryEnergy) {
   const SimStats full = run("gauss", CohMode::kFullCoh, 1);
   const SimStats raccd = run("gauss", CohMode::kRaCCD, 1);
-  EXPECT_LT(raccd.dir_dyn_energy_pj, full.dir_dyn_energy_pj * 0.6);
+  EXPECT_LT(raccd.fabric.e_dir_pj, full.fabric.e_dir_pj * 0.6);
 }
 
 TEST(Modes, AdrSavesEnergyWithoutHurtingRaccd) {
@@ -87,7 +87,7 @@ TEST(Modes, AdrSavesEnergyWithoutHurtingRaccd) {
   const SimStats adr = run("jpeg", CohMode::kRaCCD, 1, true, SizeClass::kSmall);
   EXPECT_GT(adr.adr.shrinks, 0u);
   EXPECT_LT(adr.avg_dir_active_frac, 1.0);
-  EXPECT_LT(adr.dir_dyn_energy_pj, base.dir_dyn_energy_pj);
+  EXPECT_LT(adr.fabric.e_dir_pj, base.fabric.e_dir_pj);
   // Performance stays within a few percent (paper Fig. 9).
   EXPECT_LT(static_cast<double>(adr.cycles), static_cast<double>(base.cycles) * 1.05);
 }

@@ -465,81 +465,81 @@ std::vector<RunSpec> pinned_grid() {
 const std::unordered_map<std::string, std::string>& pinned_digests() {
   static const std::unordered_map<std::string, std::string> kDigests = {
       {"jacobi-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5",
-       "4d88d7f54231588f5424f49d7068d972"},
+       "edda2af80158ec784e3e58613b9d8004"},
       {"jacobi-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
-       "81757b073824567681b5912a47189278"},
+       "7298f910a4a5029967427bcf7797bf85"},
       {"jacobi-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
-       "5d030463033495d06fc255240f14d952"},
+       "18c8459cb260c3d6429e20f7ed53dc66"},
       {"jacobi-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
-       "d8e60421dbe55d6a9e54ef32c558ed5b"},
+       "eca442a60b768aa28383ba028e3f9a03"},
       {"jacobi-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5",
-       "ab43c16b2fa40f20b11715eea9893559"},
+       "1f1c28346385a8d3adb8d0d123db7f5f"},
       {"jacobi-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
-       "0109624ef895d751a78d996d3285b977"},
+       "afbd017a967e09b80d3065afe3b49c7a"},
       {"jacobi-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
-       "90a9a0749c337fccff4150614fc781eb"},
+       "533e84048a3418949f4c9f87f632523d"},
       {"jacobi-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
-       "aa9600ce33927842fbdbc9552d2d442a"},
+       "bde265453564e3d53cee295aa4fac77a"},
       {"jacobi-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5",
-       "a6845d09cdc5fdc31310ad62b997233c"},
+       "4705aed0c2baddef8b97fc8e80d9839b"},
       {"jacobi-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
-       "9781cc9722c62c10664b97706e6d8e2e"},
+       "57c4f7bcd102c79b63f122fb238c8a3d"},
       {"jacobi-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
-       "c3355a547d68b413f20f7c16e0b4ac65"},
+       "135f70f259755657711373d331e6f3f8"},
       {"jacobi-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
-       "1ae54bfc98d1338044b15c6507c5908f"},
+       "b0e5922418b7793d583ddf2ad85129be"},
       {"jacobi-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5",
-       "193de8e22ef1b316389a1aacb1bc4ff0"},
+       "7ac33a219ddfd50c2842d0e791a66c0c"},
       {"jacobi-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
-       "3e9acea9ee69795cf3916e5310f6dc42"},
+       "287b9a2fa246c2c1736f75a7199c2917"},
       {"jacobi-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
-       "a395c748ae8978b6e6e32069c168d9ec"},
+       "6f619f96dcbac93a176e1ef2f5a9c970"},
       {"jacobi-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
-       "c9e8942286c0ecab2ce0f6c1270cc05e"},
+       "dcf2fb349017345a6aaf3a66f5267af1"},
       {"jacobi-tiny-FullCoh-d8-adr-s42-nl1-ne32-cont-fifo-v5",
-       "2cb12cb66ab04269c14c9a0937dab749"},
+       "5933122c5a0fe2742c423657497aa882"},
       {"jacobi-tiny-RaCCD-d8-adr-s42-nl1-ne32-cont-fifo-v5",
-       "cfc75ba40ff046364db85d04806be6a4"},
+       "3317480e8d20cf04a28e35231dba4a60"},
       {"synthetic-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5",
-       "f1d69657cc8de54a10972f945ce412df"},
+       "957ab1a70a6c0ab6cc9eb19874b3cb2b"},
       {"synthetic-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
-       "b54be585a873e2b42e4673ebbec7a6d8"},
+       "5c99762985d63c5da4a8270ae3e6f87a"},
       {"synthetic-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
-       "a1749ee09eda70af4f0bff5f3f30fe4e"},
+       "9679f9f0a8ab6e3e6b4c2792e5ac9c5e"},
       {"synthetic-tiny-FullCoh-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
-       "bf0d4a433ad5bd2794b5612ff9fb3c27"},
+       "ad23e0980a7be107892adb09e023be1e"},
       {"synthetic-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5",
-       "9221791501483514aefa00305bca20ca"},
+       "51d2c5cdd82a3ededdd66ebe9d05b715"},
       {"synthetic-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
-       "aea351c26789a43eabca614f2f279e9b"},
+       "46c5b8a953114cbcbc925552a445e484"},
       {"synthetic-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
-       "298bbff715b2a2c7d9d70c9e3ed0a7a6"},
+       "64f953f4eacce1a967bbcfe54e125f0c"},
       {"synthetic-tiny-PT-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
-       "b1c14ad511a64c9e12a6f295cfc92e2c"},
+       "833fbafc0d015e2fc258acf75ea3dd3c"},
       {"synthetic-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5",
-       "bb67653f314a3ddb3720895ae7fd95ba"},
+       "450cf97e3a2734605e56d93a917081fb"},
       {"synthetic-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
-       "ae740cac2bd7f6f30fa050d1023d229f"},
+       "7e801fe06598ee8e05373d2b7b70a084"},
       {"synthetic-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
-       "84f808a086437d540dbfb5cb3c85d126"},
+       "72e4e8f28b9a1ddd2cf0da75f85b2798"},
       {"synthetic-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
-       "3c7298871744277af216856fe4f376a4"},
+       "15d25a72cee77fdb242a60958bb7bde7"},
       {"synthetic-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5",
-       "1c5fa28c6fa0fa182ce0e068dc0d8f72"},
+       "6fd74a5c503c689f018f8cf03af8e0d0"},
       {"synthetic-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-dram=ddr",
-       "100f263fc4649589f11f42130c92c753"},
+       "b5e39295b0e1ef9c9724f9d76953f66a"},
       {"synthetic-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2",
-       "54c735a2efb4ac2bcf6c0d294527ff73"},
+       "0cbaecacf5761cae43f6e71e44d32373"},
       {"synthetic-tiny-WbNC-d1-s42-nl1-ne32-cont-fifo-v5-tnuma2-dram=ddr",
-       "4da43e7c261285bbecf06dd71e4415b6"},
+       "6f047a858dbbcc46216470340f94bf1d"},
       {"synthetic-tiny-FullCoh-d8-adr-s42-nl1-ne32-cont-fifo-v5",
-       "b39edb1e6934aeac75b23e2124334db3"},
+       "48681a3530c4a25653c1d7a76da5e410"},
       {"synthetic-tiny-RaCCD-d8-adr-s42-nl1-ne32-cont-fifo-v5",
-       "2a53496d3923b5dcceed6b57ce9e04d7"},
+       "3ae7456287f765c070832edbbfe3e777"},
       {"service-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-p{load=0.4,requests=512}",
-       "8e41d358624f552212cc4429c34aa4fd"},
+       "426f2aca8ab6ca1965794a28c193deab"},
       {"jacobi-tiny-RaCCD-d1-s42-nl1-ne32-cont-fifo-v5-smp8-2-1",
-       "0ef83bf8282c75c45b73e033b840e612"},
+       "99e1c0467b92c6fc32680d6d0100432c"},
   };
   return kDigests;
 }
