@@ -36,6 +36,17 @@ template <FieldList Stats>
   return o;
 }
 
+/// The fabric's measured counters scaled to run totals. Each miss counter is
+/// derived as scaled lookups minus scaled hits instead of being rounded on
+/// its own, so hits + misses = lookups survives the scale-up exactly.
+[[nodiscard]] FabricStats scaled_fabric(const FabricStats& f, double s) noexcept {
+  FabricStats o = scaled(f, s);
+  o.l1_misses = o.l1_accesses - o.l1_hits;
+  o.llc_misses = o.llc_lookups - o.llc_hits;
+  o.dir_misses = o.dir_lookups - o.dir_hits;
+  return o;
+}
+
 /// 95% half-width of the mean of `r` (zero below two samples).
 [[nodiscard]] double ci95_half_width(const std::vector<double>& r) noexcept {
   if (r.size() < 2) return 0.0;
@@ -768,6 +779,20 @@ SimStats Machine::collect() {
     s.avg_dir_active_frac = active_sum / cfg_.fabric.cores;
   }
   if (sampling_on_) apply_sampling(s);
+  // Conservation laws every run must keep, sampled or not.
+  RACCD_DEBUG_ASSERT(s.fabric.l1_hits + s.fabric.l1_misses == s.fabric.l1_accesses,
+                     "L1 hits + misses != accesses");
+  RACCD_DEBUG_ASSERT(s.fabric.llc_hits + s.fabric.llc_misses == s.fabric.llc_lookups,
+                     "LLC hits + misses != lookups");
+  RACCD_DEBUG_ASSERT(s.fabric.dir_hits + s.fabric.dir_misses == s.fabric.dir_lookups,
+                     "directory hits + misses != lookups");
+  RACCD_DEBUG_ASSERT(s.busy_cycles <= s.cycles * cores_.size(), "busy cycles exceed cycles");
+  RACCD_DEBUG_ASSERT(cfg_.fabric.dram.model == DramModel::kSimple ||
+                         std::abs(s.fabric.e_mem_pj -
+                                  (s.fabric.e_mem_act_pj + s.fabric.e_mem_rd_pj +
+                                   s.fabric.e_mem_wr_pj + s.fabric.e_mem_pre_pj)) <=
+                             1e-9 * s.fabric.e_mem_pj,
+                     "DRAM energy split does not sum to e_mem_pj");
 
   // Open-loop service runs: summarize the per-request latency components.
   // Queueing = release -> first task start (scheduling delay under load),
@@ -846,7 +871,7 @@ void Machine::apply_sampling(SimStats& s) const {
     const double scale = static_cast<double>(accesses_replayed_) /
                          static_cast<double>(measured_accesses_);
     sp.scale = scale;
-    s.fabric = scaled(fabric_.stats(), scale);
+    s.fabric = scaled_fabric(fabric_.stats(), scale);
     s.noc = scaled(fabric_.mesh().stats(), scale);
 
     // Per-window measured rates; their spread prices the extrapolation. CI on
