@@ -3,7 +3,11 @@
 // coherence mode x topology x DRAM model.
 //
 // This measures the simulator itself, not the modelled machine — the number
-// every other bench binary's turnaround time depends on. Runs merge into the
+// every other bench binary's turnaround time depends on. Next to the times it
+// prints the event loop's work counters (obs::EngineWork), which are exact and
+// host-independent: the steps taken in the global order, the records run as
+// pure hits outside it, the catch-ups remote touches forced, and the records
+// lookahead examined. Runs merge into the
 // cumulative results/BENCH_throughput.json keyed by RunSpec::key() (same
 // line-per-entry merge format as BENCH_grid.json).
 //
@@ -20,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +43,7 @@ constexpr const char* kThroughputJsonPath = "results/BENCH_throughput.json";
 
 struct Measurement {
   SimStats stats;
+  obs::EngineWork work;
   double best_wall_s = 0.0;
 
   [[nodiscard]] double sim_cycles_per_sec() const {
@@ -54,11 +60,18 @@ struct Measurement {
   Measurement m;
   for (unsigned r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    SimStats stats = run_one(spec);
+    std::string err;
+    obs::RunProfile profile;
+    std::optional<SimStats> stats = run_one_checked(spec, nullptr, &err, {}, {}, &profile);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    if (!stats.has_value()) {
+      std::fprintf(stderr, "%s: %s\n", spec.key().c_str(), err.c_str());
+      std::exit(2);
+    }
     if (r == 0 || wall < m.best_wall_s) m.best_wall_s = wall;
-    m.stats = stats;  // deterministic: identical every rep
+    m.stats = *stats;  // deterministic: identical every rep
+    m.work = profile.work;
   }
   return m;
 }
@@ -226,8 +239,9 @@ int run(int argc, char** argv) {
   }
 
   std::vector<std::pair<std::string, std::string>> json;
-  std::printf("%-34s %-7s %-6s %-6s %14s %14s\n", "workload", "mode", "topo", "dram",
-              "Mcycles/s", "Macc/s");
+  std::printf("%-34s %-7s %-6s %-6s %10s %10s %10s %10s %10s %10s\n", "workload", "mode",
+              "topo", "dram", "Mcycles/s", "Macc/s", "ordered", "pure hits", "catch-ups",
+              "peeked");
   for (const Config& c : grid) {
     RunSpec spec;
     if (const std::string err = spec.set_workload_ref(c.workload); !err.empty()) {
@@ -247,18 +261,27 @@ int run(int argc, char** argv) {
     spec.paper_machine = opts.paper_machine;
 
     const Measurement m = measure(spec, reps);
-    std::printf("%-34s %-7s %-6s %-6s %14.2f %14.2f\n", c.workload, to_string(c.mode),
-                c.topo, c.dram, m.sim_cycles_per_sec() / 1e6,
-                m.accesses_per_sec() / 1e6);
+    std::printf("%-34s %-7s %-6s %-6s %10.2f %10.2f %10llu %10llu %10llu %10llu\n",
+                c.workload, to_string(c.mode), c.topo, c.dram,
+                m.sim_cycles_per_sec() / 1e6, m.accesses_per_sec() / 1e6,
+                static_cast<unsigned long long>(m.work.ordered_events),
+                static_cast<unsigned long long>(m.work.pure_hits),
+                static_cast<unsigned long long>(m.work.catch_ups),
+                static_cast<unsigned long long>(m.work.peeked));
     std::fflush(stdout);
 
     std::string payload = strprintf(
         "{\"sim_cycles_per_sec\": %.0f, \"accesses_per_sec\": %.0f, "
-        "\"cycles\": %llu, \"accesses\": %llu, \"wall_s\": %.6f, \"reps\": %u}",
+        "\"cycles\": %llu, \"accesses\": %llu, \"wall_s\": %.6f, \"reps\": %u, "
+        "\"ordered_events\": %llu, \"pure_hits\": %llu, \"catch_ups\": %llu, "
+        "\"peeked\": %llu}",
         m.sim_cycles_per_sec(), m.accesses_per_sec(),
         static_cast<unsigned long long>(m.stats.cycles),
         static_cast<unsigned long long>(m.stats.accesses_replayed), m.best_wall_s,
-        reps);
+        reps, static_cast<unsigned long long>(m.work.ordered_events),
+        static_cast<unsigned long long>(m.work.pure_hits),
+        static_cast<unsigned long long>(m.work.catch_ups),
+        static_cast<unsigned long long>(m.work.peeked));
     std::string key = spec.key();
     for (char& ch : key) {
       if (ch == '"' || ch == '\\') ch = '_';

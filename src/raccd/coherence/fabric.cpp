@@ -147,6 +147,7 @@ Cycle Fabric::recall_sharers(BankId b, DirEntry& e, CoreId skip, Cycle now) {
     if (s == skip) continue;
     Cycle leg = msg(b, s, MsgClass::kInval);
     ++st().dir_recall_msgs;
+    before_remote_touch(s, e.line, 1);
     const L1Line old = l1_[s]->invalidate(e.line);
     if (old.valid) {
       ++st().l1_invals_recall;
@@ -403,6 +404,7 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
       const CoreId o = e->excl;
       ++st().owner_probes;
       Cycle leg = msg(b, o, MsgClass::kInval);
+      before_remote_touch(o, line, 1);
       L1Line* ol = l1_[o]->find(line);
       if (ol != nullptr) {
         if (is_write) {
@@ -451,6 +453,7 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
         const CoreId s = static_cast<CoreId>(std::countr_zero(remaining));
         remaining &= remaining - 1;
         Cycle leg = msg(b, s, MsgClass::kInval);
+        before_remote_touch(s, line, 1);
         const L1Line old = l1_[s]->invalidate(line);
         if (old.valid) {
           RACCD_ASSERT(!old.dirty, "dirty sharer outside excl state");
@@ -594,6 +597,7 @@ Cycle Fabric::upgrade_to_m(CoreId c, LineAddr line, Cycle now) {
     const CoreId s = static_cast<CoreId>(std::countr_zero(remaining));
     remaining &= remaining - 1;
     Cycle leg = msg(b, s, MsgClass::kInval);
+    before_remote_touch(s, line, 1);
     const L1Line old = l1_[s]->invalidate(line);
     if (old.valid) {
       RACCD_ASSERT(!old.dirty, "dirty sharer outside excl state");
@@ -624,7 +628,7 @@ AccessOutcome Fabric::access_hit(CoreId c, L1Line& hit, bool is_write, Cycle now
     return AccessOutcome{lat, true, false};
   }
   if (hit.nc) {
-    store_nc_hit(hit);
+    store_version_bump(hit, line);
   } else {
     switch (hit.coh) {
       case Mesi::kModified:
@@ -711,6 +715,10 @@ Fabric::FlushOutcome Fabric::flush_page_lines(CoreId c, PageNum frame, Cycle now
   FlushOutcome out;
   L1Cache& l1c = *l1_[c];
   const LineAddr first = frame << (kPageShift - kLineShift);
+  // One touch covers the whole page: its lines here, and the TLB entry the
+  // PT recovery shoots down right after (every access to the page lands in
+  // these lines).
+  before_remote_touch(c, first, kLinesPerPage);
   for (std::uint32_t i = 0; i < kLinesPerPage; ++i) {
     const LineAddr line = first + i;
     out.cycles += 1;  // one tag probe per line of the page

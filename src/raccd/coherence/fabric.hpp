@@ -108,20 +108,40 @@ class Fabric {
   AccessOutcome access_hit(CoreId c, L1Line& hit, bool is_write, Cycle now);
   /// ...or `line` is absent from c's L1.
   AccessOutcome access_miss(CoreId c, LineAddr line, bool is_write, bool nc, Cycle now);
-  /// What a store hit on an NC line does besides counting and the L1 touch:
-  /// bump the line's version. Private-hit run-ahead does the rest itself.
-  void store_nc_hit(L1Line& hit) { store_version_bump(hit, hit.line); }
+  /// What a store hit on an E, M or NC line does besides counting and the L1
+  /// touch: the silent E->M upgrade and the version bump. The machine's pure
+  /// hits (DESIGN.md, "Conservative lookahead") do the rest themselves.
+  void store_pure_hit(L1Line& hit) {
+    if (hit.coh == Mesi::kExclusive) hit.coh = Mesi::kModified;
+    store_version_bump(hit, hit.line);
+  }
 
   /// Account `n` accesses as L1 hits that need no further fabric work: the
   /// run-length-merged repeats whose residency the trace replayer proves
-  /// (trace/access_trace.hpp), or a whole run of private hits, summed by the
-  /// machine before accounting (exact: the counters commute, and run-ahead
-  /// requires an integral l1_access_pj).
-  void count_l1_repeat_hits(std::uint64_t n) noexcept {
-    st().l1_accesses += n;
-    st().l1_hits += n;
-    st().e_l1_pj += static_cast<double>(n) * energy_.l1_access_pj();
+  /// (trace/access_trace.hpp), or a batch of pure hits, summed by the machine
+  /// before accounting (exact: the counters commute, and lookahead requires
+  /// an integral l1_access_pj).
+  void count_l1_repeat_hits(std::uint64_t n) noexcept { count_l1_hits(st(), n); }
+  /// The same for a batch of pure hits of a task in phase `p`, whatever the
+  /// current phase: the batch runs outside its own step.
+  void count_pure_hits(std::uint64_t n, SimPhase p) noexcept {
+    count_l1_hits(p == SimPhase::kMeasured ? stats_
+                                           : (p == SimPhase::kWarmup ? warm_stats_ : ffwd_stats_),
+                  n);
   }
+
+  /// Called before an event of one core reads or writes core `target`'s L1
+  /// lines [first, first + lines), or the TLB entry of the page they fill.
+  /// Every such cross-core touch goes through before_remote_touch(): the
+  /// recall, owner-probe and sharer-invalidate paths and the PT page flush.
+  /// The machine uses it to catch `target` up through its pending pure hits
+  /// (DESIGN.md, "Conservative lookahead"); unset, nothing runs.
+  struct RemoteTouchHook {
+    using Fn = void (*)(void* self, CoreId target, LineAddr first, std::uint32_t lines);
+    void* self = nullptr;
+    Fn fn = nullptr;
+  };
+  void set_remote_touch_hook(RemoteTouchHook hook) noexcept { remote_hook_ = hook; }
 
   /// Select the execution phase for subsequent operations (see SimPhase).
   /// The machine flips this per task; detailed runs never leave kMeasured.
@@ -253,6 +273,15 @@ class Fabric {
   void mark_dir_dirty(BankId b, Cycle now);
 
   void store_version_bump(L1Line& l, LineAddr line);
+  void count_l1_hits(FabricStats& s, std::uint64_t n) noexcept {
+    s.l1_accesses += n;
+    s.l1_hits += n;
+    s.e_l1_pj += static_cast<double>(n) * energy_.l1_access_pj();
+  }
+
+  void before_remote_touch(CoreId target, LineAddr first, std::uint32_t lines) {
+    if (remote_hook_.fn != nullptr) remote_hook_.fn(remote_hook_.self, target, first, lines);
+  }
 
   FabricConfig cfg_;
   EnergyModel energy_;
@@ -283,6 +312,7 @@ class Fabric {
   SimPhase phase_ = SimPhase::kMeasured;
   BlockClassifier classifier_;
   CoherenceChecker* checker_;
+  RemoteTouchHook remote_hook_{};
   std::uint64_t version_counter_ = 0;
   std::uint64_t dir_dirty_mask_ = 0;
 

@@ -127,6 +127,7 @@ std::vector<SimStats> SweepExecutor::run(const std::vector<RunSpec>& specs,
         const std::lock_guard<std::mutex> lock(profile_mutex);
         profile.setup_s += run_profile.setup_s;
         profile.sim_s += run_profile.sim_s;
+        add_fields(profile.work, run_profile.work);
         const unsigned slot = worker == ProgressReporter::kNoWorker ? 0 : worker;
         if (slot < profile.workers.size()) {
           profile.workers[slot].busy_s += busy.seconds();

@@ -166,7 +166,10 @@ std::optional<SimStats> run_one_checked(
   if (series_out != nullptr && machine.series() != nullptr) {
     *series_out = *machine.series();
   }
-  if (profile != nullptr) profile->sim_s = timer.seconds();
+  if (profile != nullptr) {
+    profile->sim_s = timer.seconds();
+    profile->work = machine.engine_work();
+  }
   return stats;
 }
 

@@ -96,13 +96,6 @@ class CoherenceBackend {
   /// The per-access classification view (cached by Machine per task).
   [[nodiscard]] virtual ClassifierView classifier() noexcept { return {}; }
 
-  /// True when an L1 line holding the NC bit belongs to its core alone until
-  /// that core's own task-end teardown: no other core's event reads, writes,
-  /// invalidates or flushes it, nor shoots down the core's TLB entries. The
-  /// machine then replays such hits ahead of the global order (DESIGN.md,
-  /// "Private-hit run-ahead").
-  [[nodiscard]] virtual bool nc_lines_private() const noexcept { return false; }
-
   /// Post-execution hook on the finishing core at time `now`.
   virtual TaskEndOutcome on_task_end(CoreId c, Cycle now);
 

@@ -28,7 +28,8 @@ AccessClass PtBackend::classify(CoreId c, VAddr vaddr, PageNum pframe, Cycle now
   if (d.transition) {
     // private -> shared recovery: flush the previous owner's cached lines of
     // this page and shoot down its TLB entry; the accessor waits for the
-    // recovery to complete.
+    // recovery to complete. The flush is the remote touch that brings the
+    // owner up to date first (Fabric::RemoteTouchHook), for both steps.
     const auto fo = ctx_.fabric.flush_page_lines(d.prev_owner, pframe, now);
     ctx_.tlbs[d.prev_owner].invalidate(vpage);
     out.extra_cycles = fo.cycles + ctx_.cfg.timing.pt_shootdown_cycles;

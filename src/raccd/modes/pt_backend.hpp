@@ -19,8 +19,6 @@ class PtBackend final : public CoherenceBackend {
   [[nodiscard]] ClassifierView classifier() noexcept override {
     return {this, &PtBackend::classify_thunk};
   }
-  // nc_lines_private() stays false: a second core's miss on a private page
-  // flushes the owner's NC lines of that page and shoots down its TLB entry.
   void accumulate(SimStats& s) const override;
 
   [[nodiscard]] PtClassifier& pt() noexcept { return pt_; }

@@ -24,9 +24,6 @@ class RaccdBackend final : public CoherenceBackend {
   [[nodiscard]] ClassifierView classifier() noexcept override {
     return {this, &RaccdBackend::classify_thunk};
   }
-  /// NC lines come only from the core's own NC fills; the directory never
-  /// lists their holder, and raccd_invalidate flushes only the finisher.
-  [[nodiscard]] bool nc_lines_private() const noexcept override { return true; }
   TaskEndOutcome on_task_end(CoreId c, Cycle now) override;
   void accumulate(SimStats& s) const override;
 

@@ -23,8 +23,6 @@ class WbNcBackend final : public CoherenceBackend {
   [[nodiscard]] ClassifierView classifier() noexcept override {
     return {this, &WbNcBackend::classify_thunk};
   }
-  /// No directory at all: only the core's own flush ever drops its lines.
-  [[nodiscard]] bool nc_lines_private() const noexcept override { return true; }
   TaskEndOutcome on_task_end(CoreId c, Cycle now) override;
 
  private:

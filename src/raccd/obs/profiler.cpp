@@ -30,14 +30,20 @@ std::string SweepProfile::summary() const {
 std::string SweepProfile::json_fields() const {
   // Sorted keys to match append_bench_json's canonical entry layout.
   return strprintf(
-      "\"cached\": %llu, \"deduped\": %llu, \"executed\": %llu, "
+      "\"cached\": %llu, \"catch_ups\": %llu, \"deduped\": %llu, \"executed\": %llu, "
       "\"export_s\": %.3f, \"failed\": %llu, \"jobs\": %u, "
-      "\"preload_s\": %.3f, \"setup_s\": %.3f, \"sim_s\": %.3f, "
+      "\"ordered_events\": %llu, \"ordered_records\": %llu, \"peeked\": %llu, "
+      "\"preload_s\": %.3f, \"pure_hits\": %llu, \"setup_s\": %.3f, \"sim_s\": %.3f, "
       "\"steals\": %llu, \"utilization\": %.3f, \"wall_s\": %.3f",
       static_cast<unsigned long long>(cached),
+      static_cast<unsigned long long>(work.catch_ups),
       static_cast<unsigned long long>(deduped),
       static_cast<unsigned long long>(executed), export_s,
-      static_cast<unsigned long long>(failed), jobs, preload_s, setup_s, sim_s,
+      static_cast<unsigned long long>(failed), jobs,
+      static_cast<unsigned long long>(work.ordered_events),
+      static_cast<unsigned long long>(work.ordered_records),
+      static_cast<unsigned long long>(work.peeked), preload_s,
+      static_cast<unsigned long long>(work.pure_hits), setup_s, sim_s,
       static_cast<unsigned long long>(steals), utilization(), wall_s);
 }
 

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "raccd/common/field_list.hpp"
+
 namespace raccd::obs {
 
 /// Monotonic wall-clock scope timer; seconds since construction or reset().
@@ -31,10 +33,26 @@ class ScopeTimer {
   clock::time_point start_;
 };
 
-/// Wall-time breakdown of one simulation run.
+/// Work the machine's event loop did in one run, counted, not timed: the
+/// same spec always yields the same counts, on any host, so a change to the
+/// loop shows its mechanism moving exactly next to the noisy wall times.
+/// Like host time, it never enters SimStats.
+#define RACCD_ENGINE_WORK_FIELDS(X)                                                    \
+  X(std::uint64_t, ordered_events)  /* steps taken in the global (clock, id) order */  \
+  X(std::uint64_t, ordered_records) /* trace records replayed as ordered steps */      \
+  X(std::uint64_t, pure_hits)       /* records run as pure hits, outside the order */  \
+  X(std::uint64_t, catch_ups)       /* remote touches that found pending pure hits */  \
+  X(std::uint64_t, peeked)          /* records examined by lookahead */
+
+struct EngineWork {
+  RACCD_FIELDS(EngineWork, RACCD_ENGINE_WORK_FIELDS)
+};
+
+/// Wall-time breakdown of one simulation run, and its engine work.
 struct RunProfile {
   double setup_s = 0.0;  ///< SimConfig + Machine + workload construction
   double sim_s = 0.0;    ///< app body + replay + collect
+  EngineWork work;
 };
 
 struct WorkerProfile {
@@ -54,6 +72,7 @@ struct SweepProfile {
   std::uint64_t failed = 0;    ///< specs that failed verification/setup
   std::uint64_t deduped = 0;   ///< duplicate specs satisfied by copy
   std::uint64_t steals = 0;    ///< pool steal count (0 for -j1)
+  EngineWork work;             ///< summed RunProfile::work across runs
   unsigned jobs = 1;
   std::vector<WorkerProfile> workers;
 

@@ -21,6 +21,9 @@ namespace {
   return cfg;
 }
 
+/// A clock no batch of pure hits reaches: run the whole window.
+constexpr Cycle kNever = ~Cycle{0};
+
 // -- sampled-run extrapolation helpers ---------------------------------------
 
 [[nodiscard]] std::uint64_t scale_u(std::uint64_t v, double s) noexcept {
@@ -88,14 +91,19 @@ Machine::Machine(const SimConfig& cfg)
     }
   }
   backend_ = make_backend(BackendContext{cfg_, fabric_, mem_, tlbs_});
-  // Each guard below is an observer of the global order a run-ahead hit
-  // would move: the series and the sampled phases snapshot counters at
-  // global instants, the checker's golden versions follow store order, and
-  // ADR polls the directory's dirty mask after every record at its clock.
-  // Summing L1 energy out of order is exact only in whole picojoules.
+  // Each guard below is an observer of the global order a pure hit would
+  // move: the series snapshots counters at global instants, the checker's
+  // golden versions follow store order, and ADR polls the directory's dirty
+  // mask after every record at its clock. Summing L1 energy out of order is
+  // exact only in whole picojoules.
   const double l1_pj = cfg_.fabric.energy.l1_access_pj;
-  run_ahead_ = backend_->nc_lines_private() && cfg_.series.interval == 0 && !sampling_on_ &&
-               !cfg_.enable_checker && !cfg_.adr.enabled && l1_pj == std::trunc(l1_pj);
+  run_ahead_ = cfg_.series.interval == 0 && !cfg_.enable_checker && !cfg_.adr.enabled &&
+               l1_pj == std::trunc(l1_pj);
+  keys_.assign(cores_.size(), kAsleep);
+  if (run_ahead_) {
+    for (CoreState& cs : cores_) cs.ahead.resize(kLookahead);
+    fabric_.set_remote_touch_hook({this, &Machine::on_remote_touch});
+  }
   if (cfg_.series.interval > 0) {
     sampler_ = std::make_unique<StatSampler>(
         cfg_.series, [this](Cycle at, SimStats& s) { snapshot_stats(at, s); });
@@ -141,14 +149,11 @@ TaskId Machine::spawn(TaskDesc desc) {
   return rt_.create_task(std::move(desc));
 }
 
-CoreId Machine::pop_min_clock_core() {
-  while (!run_heap_.empty()) {
-    const auto [clock, c] = run_heap_.top();
-    run_heap_.pop();
-    const CoreState& cs = cores_[c];
-    if (!cs.sleeping && cs.clock == clock) return c;
-  }
-  return kNoCore;
+CoreId Machine::next_core() const noexcept {
+  std::uint64_t best = kAsleep;
+  for (const std::uint64_t k : keys_) best = std::min(best, k);
+  return best == kAsleep ? kNoCore
+                         : static_cast<CoreId>(best & ((1U << kKeyCoreBits) - 1));
 }
 
 void Machine::wake_sleepers(Cycle at) {
@@ -157,7 +162,7 @@ void Machine::wake_sleepers(Cycle at) {
     if (cs.sleeping) {
       cs.sleeping = false;
       cs.clock = std::max(cs.clock, at);
-      run_heap_.emplace(cs.clock, c);
+      keys_[c] = key_of(cs.clock, c);
     }
   }
 }
@@ -172,14 +177,13 @@ void Machine::taskwait() {
   // Open-loop releases are anchored to this phase: a task with release r
   // becomes schedulable at absolute cycle phase_start + r, exactly.
   rt_.set_release_base(phase_start);
-  run_heap_ = {};
   for (CoreId c = 0; c < cores_.size(); ++c) {
     cores_[c].clock = phase_start;
     cores_[c].sleeping = false;
-    run_heap_.emplace(phase_start, c);
+    keys_[c] = key_of(phase_start, c);
   }
   while (!rt_.all_finished()) {
-    const CoreId c = pop_min_clock_core();
+    const CoreId c = next_core();
     if (c == kNoCore) {
       // Every core is asleep with nothing runnable. Under open-loop
       // arrivals this is an idle gap, not a deadlock: advance the clock to
@@ -197,12 +201,13 @@ void Machine::taskwait() {
       wake_sleepers(nr);
       continue;
     }
-    // Drain releases due at or before the minimum clock: sleeping cores
-    // wake *at the release instant* (possibly earlier than the popped
-    // core), so re-pick the global minimum afterwards. One release batch
-    // per iteration keeps each wake-up at its own exact instant.
+    // Drain releases due at or before the next ordered event: sleeping
+    // cores wake *at the release instant* (possibly earlier than that
+    // event), so re-pick the global minimum afterwards. One release batch
+    // per iteration keeps each wake-up at its own exact instant. Pure hits
+    // never read the runtime, so only ordered events need the check.
     Cycle due = 0;
-    if (rt_.next_release(due) && due <= cores_[c].clock) {
+    if (rt_.next_release(due) && due <= keys_[c] >> kKeyCoreBits) {
       rt_.release_up_to(due);
       if (release_hook_) release_hook_(rt_.released_count());
       if (tr) {
@@ -211,30 +216,22 @@ void Machine::taskwait() {
                       rt_.released_count());
       }
       wake_sleepers(due);
-      run_heap_.emplace(cores_[c].clock, c);
       continue;
     }
-    for (;;) {
-      // The stepped core holds the globally minimal clock, so sample times
-      // are non-decreasing — the series is a consistent global timeline.
-      if (sampler_) sampler_->observe(cores_[c].clock);
-      step(c);
-      if (cores_[c].sleeping) break;
-      if (run_ahead_) run_private_hits(c);
-      // Keep stepping this core while it provably remains the global
-      // minimum, skipping the per-step heap round trip. Strict (clock, id)
-      // comparison against the top reproduces the push-then-pop order
-      // exactly (a stale top only underestimates its core's clock, so it can
-      // only send us down the slow path, never reorder steps). A pending
-      // release at or before this clock also exits: the slow path must
-      // perform the release before anything steps past it.
-      if (!rt_.all_finished() &&
-          (run_heap_.empty() || ClockEntry{cores_[c].clock, c} < run_heap_.top()) &&
-          !(rt_.next_release(due) && due <= cores_[c].clock)) {
-        continue;
-      }
-      run_heap_.emplace(cores_[c].clock, c);
-      break;
+    CoreState& cs = cores_[c];
+    run_pure_hits(c, kNever);
+    // The stepped core holds the globally minimal clock, so sample times
+    // are non-decreasing — the series is a consistent global timeline.
+    if (sampler_) sampler_->observe(cs.clock);
+    step_core_ = c;
+    step_clock_ = cs.clock;
+    step(c);
+    step_core_ = kNoCore;
+    ++work_.ordered_events;
+    if (cs.sleeping) {
+      keys_[c] = kAsleep;
+    } else {
+      look_ahead(c);
     }
   }
   Cycle end = phase_start;
@@ -245,36 +242,108 @@ void Machine::taskwait() {
   }
 }
 
-void Machine::run_private_hits(CoreId c) {
+void Machine::look_ahead(CoreId c) {
   CoreState& cs = cores_[c];
+  cs.ahead_base = cs.cursor;
+  std::size_t i = cs.cursor;
+  Cycle at = cs.clock;
+  // No window when lookahead is off, between tasks, or in fast-forward:
+  // a fast-forwarded task replays in one step, at that step's key.
+  if (run_ahead_ && cs.current != kNoTask && cs.phase != SimPhase::kFfwd) {
+    // A pure hit: a TLB hit (no walk, no first-touch mapping), an L1 hit,
+    // and a read or a store to an E, M or NC line (a store to S upgrades).
+    // It costs l1_hit_cycles per access, repeats included, like a hitting
+    // replay_record; executing earlier pure hits changes none of these tests.
+    const auto& recs = cs.trace.records();
+    Tlb& tlb = tlbs_[c];
+    L1Cache& l1 = fabric_.l1(c);
+    const Cycle hit_cycles = cfg_.fabric.l1_hit_cycles;
+    const std::size_t limit = std::min(recs.size(), i + kLookahead);
+    PageNum vpage = ~PageNum{0}, pframe = 0;
+    std::uint32_t slot = Tlb::kNoSlot;
+    for (; i < limit; ++i) {
+      const AccessRecord& r = recs[i];
+      if (page_of(r.vaddr) != vpage) {
+        slot = tlb.peek(page_of(r.vaddr));
+        if (slot == Tlb::kNoSlot) break;
+        vpage = page_of(r.vaddr);
+        pframe = tlb.frame(slot);
+      }
+      L1Line* l = l1.find(line_of((pframe << kPageShift) | page_offset(r.vaddr)));
+      if (l == nullptr || (r.is_write != 0 && l->coh == Mesi::kShared)) break;
+      cs.ahead[i - cs.ahead_base] = PureHit{l, slot};
+      at += r.compute_gap + static_cast<Cycle>(r.repeat) * hit_cycles;
+    }
+    work_.peeked += i - cs.ahead_base + (i < limit ? 1 : 0);
+  }
+  cs.ahead_end = i;
+  RACCD_DEBUG_ASSERT(at < (Cycle{1} << (64 - kKeyCoreBits)), "clock overflows the key");
+  keys_[c] = key_of(at, c);
+}
+
+void Machine::run_pure_hits(CoreId c, Cycle below) {
+  CoreState& cs = cores_[c];
+  std::size_t i = cs.cursor;
+  if (i == cs.ahead_end) return;
   const auto& recs = cs.trace.records();
   Tlb& tlb = tlbs_[c];
   L1Cache& l1 = fabric_.l1(c);
   const Cycle hit_cycles = cfg_.fabric.l1_hit_cycles;
-  // replay_record's work for a TLB hit on a resident NC line: no walk, no
-  // classification, l1_hit_cycles per access (hits see no overlap scaling)
-  // and no ADR poll (ADR disables run-ahead). The hits are counted once for
-  // the whole run; see count_l1_repeat_hits.
-  std::size_t i = cs.cursor;
-  Cycle spent = 0;
+  // replay_record's work for a pure hit, minus the probes look_ahead did:
+  // no walk, no classification, no overlap scaling (hits never scale) and
+  // no ADR poll (ADR disables lookahead). The hits are counted once for the
+  // whole batch; see count_l1_repeat_hits.
+  Cycle clock = cs.clock;
   std::uint64_t hits = 0;
-  for (; i < recs.size(); ++i) {
+  for (; i < cs.ahead_end && clock < below; ++i) {
     const AccessRecord& r = recs[i];
-    const std::uint32_t slot = tlb.peek(page_of(r.vaddr));
-    if (slot == Tlb::kNoSlot) break;
-    L1Line* l = l1.find(line_of((tlb.frame(slot) << kPageShift) | page_offset(r.vaddr)));
-    if (l == nullptr || !l->nc) break;
-    tlb.hit(slot);
-    l1.touch(*l);
-    if (r.is_write != 0) fabric_.store_nc_hit(*l);
+    const PureHit& h = cs.ahead[i - cs.ahead_base];
+    tlb.hit(h.tlb_slot);
+    l1.touch(*h.line);
+    if (r.is_write != 0) fabric_.store_pure_hit(*h.line);
     hits += r.repeat;
-    spent += r.compute_gap + static_cast<Cycle>(r.repeat) * hit_cycles;
+    clock += r.compute_gap + static_cast<Cycle>(r.repeat) * hit_cycles;
   }
+  work_.pure_hits += i - cs.cursor;
   cs.cursor = i;
-  cs.clock += spent;
-  cs.busy_cycles += spent;
+  cs.busy_cycles += clock - cs.clock;
+  cs.clock = clock;
   accesses_replayed_ += hits;
-  fabric_.count_l1_repeat_hits(hits);
+  fabric_.count_pure_hits(hits, cs.phase);
+  if (sampling_on_ && cs.phase == SimPhase::kMeasured) {
+    // replay_record's measured-window attribution; a hit moves no shared
+    // counter, so its deltas are zero.
+    detailed_stall_accesses_ += hits;
+    measured_accesses_ += hits;
+    if (windows_.size() <= cs.window_id) windows_.resize(cs.window_id + 1);
+    windows_[cs.window_id].accesses += hits;
+    windows_[cs.window_id].stall_cycles += hits * hit_cycles;
+  }
+}
+
+void Machine::on_remote_touch(void* self, CoreId t, LineAddr first, std::uint32_t lines) {
+  static_cast<Machine*>(self)->catch_up(t, first, lines);
+}
+
+void Machine::catch_up(CoreId t, LineAddr first, std::uint32_t lines) {
+  CoreState& ts = cores_[t];
+  // The stepping core ran its pending hits before its step.
+  if (t == step_core_ || ts.cursor == ts.ahead_end) return;
+  ++work_.catch_ups;
+  run_pure_hits(t, before_step(t));
+  // The touch may change what t's remaining records on these lines do, so
+  // t's next ordered event becomes its first of them (if it comes sooner).
+  // Its key still follows (N, r): a remote touch only shortens a window.
+  const auto& recs = ts.trace.records();
+  Cycle at = ts.clock;
+  for (std::size_t i = ts.cursor; i < ts.ahead_end; ++i) {
+    if (ts.ahead[i - ts.ahead_base].line->line - first < lines) {
+      ts.ahead_end = i;
+      keys_[t] = key_of(at, t);
+      return;
+    }
+    at += recs[i].compute_gap + static_cast<Cycle>(recs[i].repeat) * cfg_.fabric.l1_hit_cycles;
+  }
 }
 
 void Machine::step(CoreId c) {
@@ -388,6 +457,9 @@ void Machine::replay_task_ffwd(CoreId c) {
     }
     n_acc = cs.trace.total_accesses();
     gaps = cs.trace.total_compute();
+    // The miss rate reads the measured accesses as of this step: count every
+    // pending pure hit that precedes it first.
+    for (CoreId t = 0; t < cores_.size(); ++t) run_pure_hits(t, before_step(t));
     const double miss_rate =
         detailed_stall_accesses_ == 0
             ? 0.0
@@ -532,6 +604,7 @@ void Machine::start_task(CoreId c, TaskId t) {
 void Machine::replay_record(CoreId c) {
   CoreState& cs = cores_[c];
   const AccessRecord& r = cs.trace.records()[cs.cursor++];
+  ++work_.ordered_records;
   cs.clock += r.compute_gap;
   cs.busy_cycles += r.compute_gap;
   accesses_replayed_ += r.repeat;
@@ -599,7 +672,6 @@ void Machine::replay_record(CoreId c) {
     // is the bias warmup absorbs), and their compulsory-miss storms would
     // inflate both the miss rate and the mean miss penalty.
     if (attribute) {
-      detailed_stall_cycles_ += total;
       detailed_stall_accesses_ += r.repeat;
       if (!out.l1_hit) {
         ++detailed_misses_;

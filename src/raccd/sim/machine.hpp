@@ -8,7 +8,9 @@
 // created tasks. Each scheduled task body runs functionally once, recording
 // its access trace, which is replayed access-by-access through the timing
 // model: the loop always advances the core with the lowest local clock, so
-// coherence transactions interleave in a deterministic global order.
+// coherence transactions interleave in a deterministic global order. Records
+// that only touch their own core's state (pure hits) run in batches outside
+// that order, with the same result (DESIGN.md, "Conservative lookahead").
 //
 // Mode policy lives entirely behind the backend seam: the backend's
 // on_task_start/on_task_end hooks bracket every task (paper Fig. 3 for
@@ -20,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "raccd/mem/sim_memory.hpp"
 #include "raccd/metrics/series.hpp"
 #include "raccd/modes/coherence_backend.hpp"
+#include "raccd/obs/profiler.hpp"
 #include "raccd/runtime/runtime.hpp"
 #include "raccd/sim/config.hpp"
 #include "raccd/sim/stats.hpp"
@@ -44,6 +46,10 @@ class TraceSink;
 class Machine {
  public:
   explicit Machine(const SimConfig& cfg);
+  // The fabric's remote-touch hook, the backend and the series sampler hold
+  // this machine's address.
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
 
   // -- Application-facing API ---------------------------------------------------
   [[nodiscard]] SimMemory& mem() noexcept { return mem_; }
@@ -64,9 +70,11 @@ class Machine {
   [[nodiscard]] CoherenceChecker* checker() noexcept {
     return cfg_.enable_checker ? &checker_ : nullptr;
   }
-  /// Whether the event loop replays private NC L1 hits ahead of the global
-  /// order (run_private_hits). Fixed at construction; never changes stats.
+  /// Whether the event loop runs pure hits outside the global order
+  /// (conservative lookahead). Fixed at construction; never changes stats.
   [[nodiscard]] bool runs_ahead() const noexcept { return run_ahead_; }
+  /// What the event loop did so far, counted (obs::EngineWork).
+  [[nodiscard]] const obs::EngineWork& engine_work() const noexcept { return work_; }
 
   /// Observer invoked as each task finishes, with the task's node (deps,
   /// name) and its recorded access trace — the hook trace capture
@@ -99,6 +107,12 @@ class Machine {
   void set_release_hook(ReleaseHook hook) { release_hook_ = std::move(hook); }
 
  private:
+  /// A pure hit found by look_ahead: where it translates and what it hits.
+  struct PureHit {
+    L1Line* line = nullptr;
+    std::uint32_t tlb_slot = 0;
+  };
+
   struct CoreState {
     Cycle clock = 0;
     bool sleeping = false;
@@ -118,6 +132,12 @@ class Machine {
     /// Fast-forward batch classification: each page resolved through the
     /// ClassifierView once per task (sorted by vpage, binary-searched).
     std::vector<std::pair<PageNum, bool>> class_memo;
+    /// Lookahead window: records [cursor, ahead_end) are pure hits, pending;
+    /// ahead[i - ahead_base] holds record i's TLB slot and L1 line. The core's
+    /// next ordered event is record ahead_end, or the task's end.
+    std::size_t ahead_base = 0;
+    std::size_t ahead_end = 0;
+    std::vector<PureHit> ahead;
   };
 
   /// Per-request latency record: TaskNode::request groups a request's task
@@ -144,17 +164,30 @@ class Machine {
     std::uint64_t occ_samples = 0;
   };
 
-  /// Pop the awake core with the lowest (clock, id) from the run heap
-  /// (kNoCore when every core sleeps).
-  [[nodiscard]] CoreId pop_min_clock_core();
+  /// The awake core whose next ordered event has the lowest (clock, id)
+  /// key (kNoCore when every core sleeps).
+  [[nodiscard]] CoreId next_core() const noexcept;
   /// Advance core c by one step (fetch a task, replay one record, or finish).
   void step(CoreId c);
-  /// Private-hit run-ahead: replay core c's next records, past other cores'
-  /// clocks, while each is a TLB hit on a line resident in c's L1 with the
-  /// NC bit set. Stops before the first other record (or the task's end),
-  /// which then waits for its turn in the global order. Exact because such
-  /// a hit commutes with every other core's event (DESIGN.md).
-  void run_private_hits(CoreId c);
+  /// Find core c's pending pure hits and the key of its next ordered event
+  /// (at most kLookahead records ahead; none when lookahead is off).
+  void look_ahead(CoreId c);
+  /// Run core c's pending pure hits while its clock is below `below`.
+  void run_pure_hits(CoreId c, Cycle below);
+  /// Fabric::RemoteTouchHook: bring core `t` up to the stepping core's key
+  /// before another core's event touches its lines [first, first + lines),
+  /// then end t's window before its first record on those lines.
+  static void on_remote_touch(void* self, CoreId t, LineAddr first, std::uint32_t lines);
+  void catch_up(CoreId t, LineAddr first, std::uint32_t lines);
+  [[nodiscard]] static constexpr std::uint64_t key_of(Cycle at, CoreId c) noexcept {
+    return at << kKeyCoreBits | c;
+  }
+  /// In the global order, core t's pending hits whose (clock, t) precedes
+  /// the key (N, r) of the step in progress ran before it: those below this
+  /// clock. The rest run after it.
+  [[nodiscard]] Cycle before_step(CoreId t) const noexcept {
+    return step_clock_ + (t < step_core_ ? 1 : 0);
+  }
   void start_task(CoreId c, TaskId t);
   void replay_record(CoreId c);
   void finish_task(CoreId c);
@@ -192,18 +225,23 @@ class Machine {
   std::vector<CoreState> cores_;
   Cycle main_clock_ = 0;
 
-  /// Min-heap over (local clock, core id) of awake cores: the global order
-  /// of every event that other cores can observe (misses, coherent hits,
-  /// task starts and ends). A core popped at its clock steps once, then
-  /// runs ahead through its private hits (run_ahead_) and keeps stepping
-  /// while it stays the strict minimum. Each awake core has one live entry
-  /// at its current clock; entries of cores that slept since are stale and
-  /// skipped by the pop. Ties break on the lower core id.
-  using ClockEntry = std::pair<Cycle, CoreId>;
-  std::priority_queue<ClockEntry, std::vector<ClockEntry>, std::greater<ClockEntry>>
-      run_heap_;
-  /// Private-hit run-ahead is on; decided once, in the constructor.
+  /// The global order: keys_[c] packs (clock of core c's next ordered
+  /// event, c), so the lowest key steps next and ties break on the lower
+  /// core id; kAsleep for sleeping cores. Ordered events are the ones other
+  /// cores can observe (misses, upgrades, TLB misses, task starts and ends).
+  static constexpr unsigned kKeyCoreBits = 6;  // cores <= 64
+  static constexpr std::uint64_t kAsleep = ~std::uint64_t{0};
+  std::vector<std::uint64_t> keys_;
+  /// Records a lookahead window may span: bounds the work one look_ahead
+  /// does, and the run a remote touch has to search.
+  static constexpr std::size_t kLookahead = 64;
+  /// Lookahead is on; decided once, in the constructor.
   bool run_ahead_ = false;
+  /// Key of the step in progress (kNoCore between steps): remote touches
+  /// catch their target up to it.
+  CoreId step_core_ = kNoCore;
+  Cycle step_clock_ = 0;
+  obs::EngineWork work_;
 
   // accumulated runtime-cost stats
   Cycle create_cycles_ = 0;
@@ -232,9 +270,9 @@ class Machine {
   std::uint64_t task_seq_ = 0;  ///< global task-start counter (phase schedule)
   std::uint64_t measured_tasks_ = 0, warmup_tasks_ = 0, ffwd_tasks_ = 0;
   std::uint64_t measured_accesses_ = 0, ffwd_accesses_ = 0;
-  /// Dilation estimator: stall cycles per access observed across *detailed*
-  /// replay (measured + warmup), the rate fast-forwarded tasks advance at.
-  std::uint64_t detailed_stall_cycles_ = 0, detailed_stall_accesses_ = 0;
+  /// Dilation estimator: accesses replayed in measured windows, the far
+  /// tier's miss-rate denominator.
+  std::uint64_t detailed_stall_accesses_ = 0;
   /// Miss-cost split: fast-forward knows each access's true L1 hit/miss from
   /// the warm tags, so only the *penalty per miss* is estimated — the
   /// hit/miss mix (the dominant variance source) is exact per task.

@@ -279,9 +279,10 @@ TEST(Machine, ReleasesFireAtExactInstantsAcrossRepeatedGaps) {
 }
 
 TEST(Machine, ReleaseDuringBusyBatchStartsOnAnIdleCore) {
-  // The run-heap fast path must not step a busy core past a pending release:
-  // with 15 of 16 cores idle, a request released mid-batch still starts at
-  // exactly its release instant plus the scheduling cost.
+  // The event loop must not step a busy core past a pending release, even
+  // when that core's pure hits run ahead of it: with 15 of 16 cores idle, a
+  // request released mid-batch still starts at exactly its release instant
+  // plus the scheduling cost.
   Machine m(test_config(CohMode::kFullCoh));
   constexpr std::uint32_t kWords = 4096;
   const VAddr work = m.mem().alloc(kWords * 4, kLineBytes, "work");

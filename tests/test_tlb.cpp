@@ -26,7 +26,7 @@ TEST_F(TlbTest, MissThenHit) {
   EXPECT_EQ(tlb.stats().hits, 1u);
 }
 
-// Private-hit run-ahead translates with peek() + hit(): peek must change
+// Lookahead translates pure hits with peek() + hit(): peek must change
 // nothing, and peek + hit must leave exactly the state a hitting access()
 // leaves (stats, LRU order, the same-page filter).
 TEST_F(TlbTest, PeekIsPureAndPeekPlusHitMatchesAccess) {
