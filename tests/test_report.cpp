@@ -48,6 +48,43 @@ TEST(Report, PaperConfigMatchesTableI) {
   EXPECT_NE(text.find("524,288 entries"), std::string::npos);
 }
 
+// The whole print_config() text, byte for byte, for both presets under every
+// mode and for RaCCD with ADR. It prints the L1, LLC and directory latencies,
+// the TLB size, the NCRT lookup cost and the WbNC flush-call cost, so a model
+// constant whose value drifts shows up here.
+TEST(Report, PrintConfigTextIsPinned) {
+  const std::string scaled_geometry =
+      "  L1D: 32 KB, 2-way, 2-cycle | TLB: 256 entries\n"
+      "  LLC: 2 MB total (128 KB/bank), 8-way, 15-cycle\n"
+      "  directory: 1:1 — 32,768 entries (2048/bank), 8-way, 15-cycle, 264.0 KB, 14.88 mm2\n";
+  const std::string paper_geometry =
+      "  L1D: 32 KB, 2-way, 2-cycle | TLB: 256 entries\n"
+      "  LLC: 32 MB total (2 MB/bank), 8-way, 15-cycle\n"
+      "  directory: 1:1 — 524,288 entries (32768/bank), 8-way, 15-cycle, 4224.0 KB, "
+      "106.08 mm2\n";
+  const auto tail = [](CohMode m) -> std::string {
+    switch (m) {
+      case CohMode::kRaCCD: return "  NCRT: 32 entries/core, 1-cycle lookup | ADR: off\n";
+      case CohMode::kWbNC:
+        return "  software coherence: whole-L1 writeback flush at task end (30-cycle call)\n";
+      default: return "";
+    }
+  };
+  for (const CohMode m : {CohMode::kFullCoh, CohMode::kPT, CohMode::kRaCCD, CohMode::kWbNC}) {
+    const std::string head =
+        std::string("machine: 16 cores, flat 4x4 mesh, mode=") + to_string(m) + "\n";
+    EXPECT_EQ(render_config(SimConfig::scaled(m)), head + scaled_geometry + tail(m))
+        << to_string(m);
+    EXPECT_EQ(render_config(SimConfig::paper(m)), head + paper_geometry + tail(m))
+        << to_string(m);
+  }
+  SimConfig adr = SimConfig::scaled(CohMode::kRaCCD);
+  adr.adr.enabled = true;
+  EXPECT_EQ(render_config(adr), "machine: 16 cores, flat 4x4 mesh, mode=RaCCD\n" +
+                                    scaled_geometry +
+                                    "  NCRT: 32 entries/core, 1-cycle lookup | ADR: on\n");
+}
+
 TEST(Report, DirRatioSweepChangesEntries) {
   SimConfig cfg = SimConfig::paper();
   for (const std::uint32_t r : kDirRatios) {
