@@ -5,7 +5,8 @@
 // mode-separating metric against its reported 95% confidence interval.
 //
 // This is the CI `sampling-smoke` gate: it exits non-zero when the sampled
-// run is less than --min-speedup times faster than detailed, or when a gated
+// run is less than --min-speedup times faster than detailed, when the runs of
+// one side disagree on their stats, or when a gated
 // metric lands outside both its 95% CI and the --max-err relative band
 // (rate/level metrics use an absolute band instead — a relative error on a
 // near-zero row-hit rate is noise, not signal). Results merge into the
@@ -18,6 +19,7 @@
 // need proportionally more of them. The per-app defaults below hold every
 // gated metric within ~3% at >= 5x; halving the window on the same workload
 // roughly triples the cycle error (see README "Sampled simulation").
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -31,24 +33,51 @@
 
 #include "raccd/common/format.hpp"
 #include "raccd/harness/experiment.hpp"
+#include "raccd/harness/sweep_cache.hpp"
 
 namespace raccd {
 namespace {
 
 constexpr const char* kSamplingJsonPath = "results/BENCH_sampling.json";
 
+/// Runs per side. One detailed run's wall time swings by ~20% from run to
+/// run, more than the speedup gate's margin, so each side is timed as the
+/// median of this many runs.
+constexpr int kRuns = 3;
+
 struct Timed {
   SimStats stats;
-  double wall_s = 0.0;
+  std::vector<double> run_s;  ///< wall time of each run, in run order
+  double wall_s = 0.0;        ///< median of run_s
+  bool identical = true;      ///< every run produced the same stats bytes
 };
 
 [[nodiscard]] Timed measure(const RunSpec& spec) {
   Timed t;
-  const auto t0 = std::chrono::steady_clock::now();
-  t.stats = run_one(spec);
-  t.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  std::string first;
+  for (int r = 0; r < kRuns; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    SimStats s = run_one(spec);
+    t.run_s.push_back(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+    const std::string text = stats_to_text(s);
+    if (r == 0) {
+      first = text;
+      t.stats = std::move(s);
+    } else {
+      t.identical = t.identical && text == first;
+    }
+  }
+  std::vector<double> sorted = t.run_s;
+  std::sort(sorted.begin(), sorted.end());
+  t.wall_s = sorted[sorted.size() / 2];
   return t;
+}
+
+[[nodiscard]] std::string join_times(const std::vector<double>& v, const char* sep) {
+  std::string out;
+  for (std::size_t i = 0; i < v.size(); ++i) out += strprintf("%s%.3f", i ? sep : "", v[i]);
+  return out;
 }
 
 /// One gated metric: extrapolated value vs detailed truth, judged against
@@ -207,12 +236,15 @@ int run(int argc, char** argv) {
       };
 
       const bool speed_ok = speedup >= min_speedup;
+      const bool repeat_ok = detailed.identical && sampled.identical;
       bool metrics_ok = true;
       std::printf("%s --mode=%s --sample=%s: %.2fs detailed, %.2fs sampled "
-                  "(%.2fx, %llu windows)\n",
+                  "(%.2fx, %llu windows; median of %d runs: detailed %s s, sampled %s s)\n",
                   c.workload, to_string(mode), spec.sampling.c_str(),
                   detailed.wall_s, sampled.wall_s, speedup,
-                  static_cast<unsigned long long>(sp.windows));
+                  static_cast<unsigned long long>(sp.windows), kRuns,
+                  join_times(detailed.run_s, " ").c_str(),
+                  join_times(sampled.run_s, " ").c_str());
       std::string metrics_json;
       for (const MetricCheck& m : checks) {
         metrics_ok = metrics_ok && m.pass();
@@ -226,12 +258,19 @@ int run(int argc, char** argv) {
       if (!speed_ok) {
         std::printf("  FAIL: speedup %.2fx < required %.2fx\n", speedup, min_speedup);
       }
-      gate_failed = gate_failed || !speed_ok || !metrics_ok;
+      if (!repeat_ok) {
+        std::printf("  FAIL: repeated runs disagree on their stats (detailed %s, sampled %s)\n",
+                    detailed.identical ? "same" : "differ",
+                    sampled.identical ? "same" : "differ");
+      }
+      gate_failed = gate_failed || !speed_ok || !repeat_ok || !metrics_ok;
 
       std::string payload = strprintf(
           "{\"speedup\": %.3f, \"detailed_wall_s\": %.3f, \"sampled_wall_s\": %.3f, "
+          "\"detailed_runs_s\": [%s], \"sampled_runs_s\": [%s], "
           "\"windows\": %llu, \"scale\": %.3f%s}",
           speedup, detailed.wall_s, sampled.wall_s,
+          join_times(detailed.run_s, ", ").c_str(), join_times(sampled.run_s, ", ").c_str(),
           static_cast<unsigned long long>(sp.windows), sp.scale,
           metrics_json.c_str());
       json.emplace_back(spec.key(), std::move(payload));
@@ -245,7 +284,7 @@ int run(int argc, char** argv) {
     std::printf("(merged %zu entries into %s)\n", json.size(), kSamplingJsonPath);
   }
   if (gate_failed) {
-    std::fprintf(stderr, "sampling_accuracy: FAIL (speedup or accuracy gate)\n");
+    std::fprintf(stderr, "sampling_accuracy: FAIL (speedup, repeatability or accuracy gate)\n");
     return 1;
   }
   return 0;
