@@ -163,8 +163,7 @@ class ServiceApp final : public App {
   /// hit latency: runtime overheads + streamed scratch + probes + compute.
   /// Real service time exceeds this (misses, coherence), which is why the
   /// saturation knee sits below load = 1 (DESIGN.md #13).
-  [[nodiscard]] double nominal_request_cycles(const SimConfig& cfg) const {
-    const TimingConfig& t = cfg.timing;
+  [[nodiscard]] double nominal_request_cycles() const {
     const double tasks = 2.0 + p_.chain;
     const double deps = 1.0                          // parse: out scratch
                         + p_.chain * (1.0 + p_.probes) + 1.0  // lookups (+home)
@@ -172,10 +171,10 @@ class ServiceApp final : public App {
     const double accesses = static_cast<double>(scratch_elems_)       // parse stores
                             + p_.chain * (p_.probes + 2.0) + 2.0      // lookups + home
                             + 3.0;                                    // respond
-    const double overhead = tasks * (t.task_create_cycles + t.schedule_cycles +
-                                     t.wakeup_per_edge_cycles) +
-                            deps * t.dep_analysis_cycles;
-    return overhead + accesses * cfg.fabric.l1_hit_cycles +
+    const double overhead =
+        tasks * (kTaskCreateCycles + kScheduleCycles + kWakeupPerEdgeCycles) +
+        deps * kDepAnalysisCycles;
+    return overhead + accesses * kL1HitCycles +
            static_cast<double>(p_.chain) * p_.compute;
   }
 
@@ -195,7 +194,7 @@ class ServiceApp final : public App {
     }
     const std::uint32_t cores = m.config().fabric.cores;
     ac.mean_gap_cycles =
-        nominal_request_cycles(m.config()) / (static_cast<double>(cores) * p_.load);
+        nominal_request_cycles() / (static_cast<double>(cores) * p_.load);
 
     std::string err;
     std::vector<Cycle> schedule = generate_arrivals(ac, &err);

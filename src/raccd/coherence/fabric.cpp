@@ -48,7 +48,7 @@ double BlockClassifier::noncoherent_fraction() const noexcept {
 // ---------------------------------------------------------------------------
 
 Fabric::Fabric(const FabricConfig& cfg, CoherenceChecker* checker)
-    : cfg_(cfg), energy_(cfg.energy), mesh_(cfg.mesh, cfg.topo, cfg.cores),
+    : cfg_(cfg), mesh_(cfg.topo, cfg.cores),
       checker_(checker) {
   RACCD_ASSERT(is_pow2(cfg_.cores), "core count must be a power of two");
   RACCD_ASSERT(cfg_.cores <= 64, "sharer vector limited to 64 cores");
@@ -62,7 +62,7 @@ Fabric::Fabric(const FabricConfig& cfg, CoherenceChecker* checker)
     l1_.push_back(std::make_unique<L1Cache>(cfg_.l1));
     llc_.push_back(std::make_unique<LlcBank>(cfg_.llc));
     dir_.push_back(std::make_unique<DirectoryBank>(cfg_.dir));
-    dir_access_pj_.push_back(energy_.dir_access_pj(dir_[c]->active_entries()));
+    dir_access_pj_.push_back(dir_access_pj(dir_[c]->active_entries(), cfg_.llc.lines_per_bank));
   }
   dir_busy_.assign(cfg_.cores, 0);
   llc_busy_.assign(cfg_.cores, 0);
@@ -79,9 +79,11 @@ Fabric::Fabric(const FabricConfig& cfg, CoherenceChecker* checker)
       mc_of_[mc] = it->second;
     }
   }
-  // Only the paged array's chunk directory scales with the hint (one pointer
-  // per 4096 lines); data chunks allocate on first write to their region.
-  mem_versions_.reserve_lines(cfg_.phys_lines_hint);
+  // Pre-size the memory version map for the whole physical memory so large
+  // runs don't regrow it: only the paged array's chunk directory scales with
+  // it (one pointer per 4096 lines); data chunks allocate on first write to
+  // their region. Without a frame count (direct construction) it starts empty.
+  mem_versions_.reserve_lines(cfg_.topo.phys_frames * kLinesPerPage);
 }
 
 // ---------------------------------------------------------------------------
@@ -92,12 +94,11 @@ Cycle Fabric::msg(std::uint32_t from, std::uint32_t to, MsgClass cls) {
   if (phase_ == SimPhase::kFfwd) return 0;  // functional: no routing, no traffic
   const Route r = topology().route(from, to);
   const std::uint32_t flits = mesh_.flits_for(cls);
-  // Inter-socket hops burn `socket_hop_energy_scale` times the on-chip
+  // Inter-socket hops burn kSocketHopEnergyScale times the on-chip
   // per-flit-hop energy (off-package SerDes links).
-  const double hop_cost =
-      static_cast<double>(r.link_hops) +
-      static_cast<double>(r.socket_hops) * topology().config().socket_hop_energy_scale;
-  st().e_noc_pj += hop_cost * flits * energy_.noc_flit_hop_pj();
+  const double hop_cost = static_cast<double>(r.link_hops) +
+                          static_cast<double>(r.socket_hops) * kSocketHopEnergyScale;
+  st().e_noc_pj += hop_cost * flits * kNocFlitHopPj;
   return mesh_.transfer(r, cls);
 }
 
@@ -113,9 +114,9 @@ void Fabric::count_dir_access(BankId b) {
   st().e_dir_pj += dir_access_pj_[b];
 }
 
-void Fabric::count_llc_touch(BankId b) {
+void Fabric::count_llc_touch() {
   ++st().llc_touches;
-  st().e_llc_pj += energy_.llc_access_pj(llc_[b]->line_capacity());
+  st().e_llc_pj += kLlcAccessPj;
 }
 
 void Fabric::mark_dir_dirty(BankId b, Cycle now) {
@@ -157,7 +158,7 @@ Cycle Fabric::recall_sharers(BankId b, DirEntry& e, CoreId skip, Cycle now) {
         RACCD_ASSERT(ll != nullptr, "dirty recall without resident LLC line");
         ll->dirty = true;
         ll->version = old.version;
-        count_llc_touch(b);
+        count_llc_touch();
         leg += msg(s, b, MsgClass::kWriteback);
         ++st().l1_wb_coh;
       } else {
@@ -176,7 +177,7 @@ Cycle Fabric::recall_sharers(BankId b, DirEntry& e, CoreId skip, Cycle now) {
 Cycle Fabric::drop_llc_line(BankId b, LineAddr line, bool due_to_dir, Cycle now) {
   const LlcLine dead = llc_[b]->invalidate(line);
   RACCD_ASSERT(dead.valid, "dropping a non-resident LLC line");
-  count_llc_touch(b);
+  count_llc_touch();
   if (due_to_dir) ++st().llc_inval_by_dir;
   Cycle lat = 0;
   if (dead.dirty) {
@@ -217,7 +218,7 @@ Cycle Fabric::llc_fill(BankId b, LineAddr line, bool nc, bool dirty, std::uint64
     }
   }
   llc_[b]->fill(line, nc, dirty, version);
-  count_llc_touch(b);
+  count_llc_touch();
   ++st().llc_fills;
   return lat;
 }
@@ -274,15 +275,15 @@ void Fabric::account_dram(const DramOutcome& out, bool is_write) {
     case DramOutcome::Row::kEmpty: ++st().dram_row_misses; break;
     case DramOutcome::Row::kConflict: ++st().dram_row_conflicts; break;
   }
-  double pj = is_write ? energy_.dram_write_pj() : energy_.dram_read_pj();
+  double pj = is_write ? kDramWritePj : kDramReadPj;
   (is_write ? st().e_mem_wr_pj : st().e_mem_rd_pj) += pj;
   if (out.activated) {
-    st().e_mem_act_pj += energy_.dram_activate_pj();
-    pj += energy_.dram_activate_pj();
+    st().e_mem_act_pj += kDramActivatePj;
+    pj += kDramActivatePj;
   }
   if (out.precharged) {
-    st().e_mem_pre_pj += energy_.dram_precharge_pj();
-    pj += energy_.dram_precharge_pj();
+    st().e_mem_pre_pj += kDramPrechargePj;
+    pj += kDramPrechargePj;
   }
   st().e_mem_pj += pj;  // e_mem_pj stays the memory total under both models
 }
@@ -298,8 +299,8 @@ Cycle Fabric::mem_fetch(BankId b, LineAddr line, std::uint64_t& version, Cycle n
   }
   Cycle lat = msg(b, mc, MsgClass::kRequest);
   if (cfg_.dram.model == DramModel::kSimple) {
-    lat += cfg_.mem_cycles;
-    st().e_mem_pj += energy_.mem_access_pj();
+    lat += kMemCycles;
+    st().e_mem_pj += kMemAccessPj;
   } else {
     const Cycle arrive = now + lat;
     const DramOutcome out = dram_at(mc).read(line, arrive);
@@ -326,7 +327,7 @@ void Fabric::mem_writeback(BankId b, LineAddr line, std::uint64_t version, Cycle
   if (phase_ == SimPhase::kFfwd) {
     if (cfg_.dram.model != DramModel::kSimple) dram_at(mc).warm_touch(line);
   } else if (cfg_.dram.model == DramModel::kSimple) {
-    st().e_mem_pj += energy_.mem_access_pj();
+    st().e_mem_pj += kMemAccessPj;
   } else {
     const DramOutcome out = dram_at(mc).write(line, now + leg);
     st().mem_wb_wait_cycles += leg + out.wait;
@@ -348,7 +349,7 @@ void Fabric::handle_l1_victim(CoreId c, const L1Line& victim, Cycle now) {
     (void)msg(c, b, MsgClass::kWriteback);
     ++st().l1_wb_nc;
     LlcLine* ll = llc_[b]->find(victim.line);
-    count_llc_touch(b);
+    count_llc_touch();
     if (ll != nullptr) {
       ll->dirty = true;
       ll->version = victim.version;
@@ -368,7 +369,7 @@ void Fabric::handle_l1_victim(CoreId c, const L1Line& victim, Cycle now) {
     e->sharers &= ~bit(c);
     LlcLine* ll = llc_[b]->find(victim.line);
     RACCD_ASSERT(ll != nullptr, "M writeback without LLC line");
-    count_llc_touch(b);
+    count_llc_touch();
     ll->dirty = true;
     ll->version = victim.version;
   }
@@ -386,13 +387,13 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
   // The home node looks up directory and LLC tags in parallel.
   {
     const Cycle arrive = now + r.latency;
-    const Cycle dir_leg = bank_service(dir_busy_[b], arrive, cfg_.dir_cycles);
-    const Cycle llc_leg = bank_service(llc_busy_[b], arrive, cfg_.llc_cycles);
+    const Cycle dir_leg = bank_service(dir_busy_[b], arrive, kDirCycles);
+    const Cycle llc_leg = bank_service(llc_busy_[b], arrive, kLlcCycles);
     r.latency += std::max(dir_leg, llc_leg);
   }
   count_dir_access(b);
   ++st().dir_lookups;
-  count_llc_touch(b);
+  count_llc_touch();
   ++st().llc_lookups;
 
   DirEntry* e = dir_[b]->find(line);
@@ -415,7 +416,7 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
             RACCD_ASSERT(ll != nullptr, "owner WB without LLC line");
             ll->dirty = true;
             ll->version = old.version;
-            count_llc_touch(b);
+            count_llc_touch();
             leg += msg(o, b, MsgClass::kWriteback);
             ++st().l1_wb_coh;
           } else {
@@ -429,7 +430,7 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
             RACCD_ASSERT(ll != nullptr, "owner WB without LLC line");
             ll->dirty = true;
             ll->version = ol->version;
-            count_llc_touch(b);
+            count_llc_touch();
             leg += msg(o, b, MsgClass::kWriteback);
             ++st().l1_wb_coh;
             ol->dirty = false;
@@ -536,11 +537,11 @@ Fabric::MissResult Fabric::nc_miss(CoreId c, LineAddr line, bool is_write, Cycle
   MissResult r;
   r.grant = Mesi::kInvalid;
   r.latency += msg(c, b, MsgClass::kRequest);
-  r.latency += bank_service(llc_busy_[b], now + r.latency, cfg_.llc_cycles);
+  r.latency += bank_service(llc_busy_[b], now + r.latency, kLlcCycles);
   ++st().llc_lookups;
   ++st().llc_nc_lookups;
   LlcLine* ll = llc_[b]->find(line);
-  count_llc_touch(b);
+  count_llc_touch();
   if (ll != nullptr) {
     ++st().llc_hits;
     ++st().llc_nc_hits;
@@ -581,7 +582,7 @@ Cycle Fabric::upgrade_to_m(CoreId c, LineAddr line, Cycle now) {
   const BankId b = home_of(line);
   if (topology().cross_socket(c, b)) ++st().dir_reqs_cross_socket;
   Cycle lat = msg(c, b, MsgClass::kRequest);
-  lat += bank_service(dir_busy_[b], now + lat, cfg_.dir_cycles);
+  lat += bank_service(dir_busy_[b], now + lat, kDirCycles);
   count_dir_access(b);
   ++st().dir_lookups;
   ++st().upgrades;
@@ -622,31 +623,18 @@ AccessOutcome Fabric::access_hit(CoreId c, L1Line& hit, bool is_write, Cycle now
   count_l1_repeat_hits(1);
   l1_[c]->touch(hit);
   const LineAddr line = hit.line;
-  Cycle lat = cfg_.l1_hit_cycles;
+  Cycle lat = kL1HitCycles;
   if (!is_write) {
     if (checker_ != nullptr) checker_->on_load(line, hit.version);
     return AccessOutcome{lat, true, false};
   }
-  if (hit.nc) {
+  if (!hit.nc && hit.coh == Mesi::kShared) {
+    lat += upgrade_to_m(c, line, now + lat);
+    hit.coh = Mesi::kModified;
     store_version_bump(hit, line);
   } else {
-    switch (hit.coh) {
-      case Mesi::kModified:
-        store_version_bump(hit, line);
-        break;
-      case Mesi::kExclusive:
-        hit.coh = Mesi::kModified;  // silent E->M upgrade
-        store_version_bump(hit, line);
-        break;
-      case Mesi::kShared:
-        lat += upgrade_to_m(c, line, now + lat);
-        hit.coh = Mesi::kModified;
-        store_version_bump(hit, line);
-        break;
-      case Mesi::kInvalid:
-        RACCD_ASSERT(false, "valid coherent line in I state");
-        break;
-    }
+    RACCD_ASSERT(hit.nc || hit.coh != Mesi::kInvalid, "valid coherent line in I state");
+    store_pure_hit(hit);  // NC, E (silent E->M upgrade) or M
   }
   return AccessOutcome{lat, true, false};
 }
@@ -655,7 +643,7 @@ AccessOutcome Fabric::access_miss(CoreId c, LineAddr line, bool is_write, bool n
                                   Cycle now) {
   RACCD_DEBUG_ASSERT(c < cfg_.cores, "core id out of range");
   ++st().l1_accesses;
-  st().e_l1_pj += energy_.l1_access_pj();
+  st().e_l1_pj += kL1AccessPj;
   ++st().l1_misses;
   // Misses alone feed the block classifier: an L1 line's NC bit is written
   // only by the fill below, so a later hit would record the same bit again.
@@ -665,7 +653,7 @@ AccessOutcome Fabric::access_miss(CoreId c, LineAddr line, bool is_write, bool n
   } else {
     is_write ? ++st().coh_writes : ++st().coh_reads;
   }
-  Cycle lat = cfg_.l1_hit_cycles;
+  Cycle lat = kL1HitCycles;
   const MissResult r =
       nc ? nc_miss(c, line, is_write, now + lat) : coherent_miss(c, line, is_write, now + lat);
   lat += r.latency;
@@ -686,7 +674,7 @@ Fabric::FlushOutcome Fabric::flush_nc_lines(CoreId c, Cycle now) {
   L1Cache& l1c = *l1_[c];
   // The modelled walk is sequential over the whole array (paper §III-C.4);
   // the host visits only the slots holding NC fills, in the same order.
-  out.cycles = static_cast<Cycle>(l1c.line_capacity()) * cfg_.invalidate_walk_cycles_per_line;
+  out.cycles = static_cast<Cycle>(l1c.line_capacity()) * kInvalidateWalkCyclesPerLine;
   l1c.drop_nc_lines([&](const L1Line& old) {
     const LineAddr line = old.line;
     ++out.lines;
@@ -698,7 +686,7 @@ Fabric::FlushOutcome Fabric::flush_nc_lines(CoreId c, Cycle now) {
       (void)msg(c, b, MsgClass::kWriteback);
       ++st().l1_wb_nc;
       LlcLine* ll = llc_[b]->find(line);
-      count_llc_touch(b);
+      count_llc_touch();
       if (ll != nullptr) {
         ll->dirty = true;
         ll->version = old.version;
@@ -734,7 +722,7 @@ Fabric::FlushOutcome Fabric::flush_page_lines(CoreId c, PageNum frame, Cycle now
       if (old.nc) {
         ++st().l1_wb_nc;
         LlcLine* ll = llc_[b]->find(line);
-        count_llc_touch(b);
+        count_llc_touch();
         if (ll != nullptr) {
           ll->dirty = true;
           ll->version = old.version;
@@ -752,7 +740,7 @@ Fabric::FlushOutcome Fabric::flush_page_lines(CoreId c, PageNum frame, Cycle now
         e->sharers &= ~bit(c);
         LlcLine* ll = llc_[b]->find(line);
         RACCD_ASSERT(ll != nullptr, "M flush without LLC line");
-        count_llc_touch(b);
+        count_llc_touch();
         ll->dirty = true;
         ll->version = old.version;
       }
@@ -777,7 +765,7 @@ Fabric::ResizeOutcome Fabric::resize_dir_bank(BankId b, std::uint32_t new_active
   // The reconfiguration blocks the bank while entries move (paper §III-D).
   out.blocked_cycles = static_cast<Cycle>(out.moved) * 2 + 100;
   dir_busy_[b] = std::max(dir_busy_[b], now) + out.blocked_cycles;
-  dir_access_pj_[b] = energy_.dir_access_pj(dir_[b]->active_entries());
+  dir_access_pj_[b] = dir_access_pj(dir_[b]->active_entries(), cfg_.llc.lines_per_bank);
   return out;
 }
 

@@ -55,26 +55,27 @@ class TraceSink;
 ///    stream via DramController::warm_touch); stats into the ffwd bucket.
 enum class SimPhase : std::uint8_t { kMeasured = 0, kWarmup, kFfwd };
 
+// Structure latencies (paper Table I).
+inline constexpr Cycle kL1HitCycles = 2;
+inline constexpr Cycle kLlcCycles = 15;
+inline constexpr Cycle kDirCycles = 15;
+inline constexpr Cycle kMemCycles = 150;  ///< flat off-chip latency of DramModel::kSimple
+inline constexpr Cycle kInvalidateWalkCyclesPerLine = 1;  ///< raccd_invalidate L1 walk cost
+
 struct FabricConfig {
   std::uint32_t cores = 16;
   L1Geometry l1{};
+  /// The LLC bank's line count is also the energy model's reference size
+  /// for both the LLC and the directory (energy/energy_model.hpp).
   LlcGeometry llc{};
   DirGeometry dir{};
-  MeshConfig mesh{};  ///< message sizing
-  /// Machine shape, grid size and link timing (a 4x4 flat mesh by default).
+  /// Machine shape, grid size and physical frames (a 4x4 flat mesh by
+  /// default). The fabric pre-sizes its memory version map from
+  /// topo.phys_frames.
   TopologyConfig topo{};
-  Cycle l1_hit_cycles = 2;
-  Cycle llc_cycles = 15;
-  Cycle dir_cycles = 15;
-  Cycle mem_cycles = 150;
-  Cycle invalidate_walk_cycles_per_line = 1;  ///< raccd_invalidate L1 walk cost
-  EnergyConfig energy{};
   /// Memory system behind the controllers (dram/dram.hpp). The default
-  /// kSimple model reproduces the flat mem_cycles latency byte-identically.
+  /// kSimple model reproduces the flat kMemCycles latency byte-identically.
   DramConfig dram{};
-  /// Physical line-count hint: pre-sizes the memory version map (and bounds
-  /// its rehashing on large runs). 0 = small default.
-  std::uint64_t phys_lines_hint = 0;
 };
 
 /// Per-line classification for paper Fig. 2: a block counts as non-coherent
@@ -109,8 +110,9 @@ class Fabric {
   /// ...or `line` is absent from c's L1.
   AccessOutcome access_miss(CoreId c, LineAddr line, bool is_write, bool nc, Cycle now);
   /// What a store hit on an E, M or NC line does besides counting and the L1
-  /// touch: the silent E->M upgrade and the version bump. The machine's pure
-  /// hits (DESIGN.md, "Conservative lookahead") do the rest themselves.
+  /// touch: the silent E->M upgrade and the version bump. access_hit() uses
+  /// it for those stores; the machine's pure hits (DESIGN.md, "Conservative
+  /// lookahead") do the rest themselves.
   void store_pure_hit(L1Line& hit) {
     if (hit.coh == Mesi::kExclusive) hit.coh = Mesi::kModified;
     store_version_bump(hit, hit.line);
@@ -119,8 +121,8 @@ class Fabric {
   /// Account `n` accesses as L1 hits that need no further fabric work: the
   /// run-length-merged repeats whose residency the trace replayer proves
   /// (trace/access_trace.hpp), or a batch of pure hits, summed by the machine
-  /// before accounting (exact: the counters commute, and lookahead requires
-  /// an integral l1_access_pj).
+  /// before accounting (exact: the counters commute, and kL1AccessPj is
+  /// integral).
   void count_l1_repeat_hits(std::uint64_t n) noexcept { count_l1_hits(st(), n); }
   /// The same for a batch of pure hits of a task in phase `p`, whatever the
   /// current phase: the batch runs outside its own step.
@@ -215,7 +217,6 @@ class Fabric {
   [[nodiscard]] const Mesh& mesh() const noexcept { return mesh_; }
   [[nodiscard]] FabricStats& stats() noexcept { return stats_; }
   [[nodiscard]] const FabricStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const EnergyModel& energy() const noexcept { return energy_; }
   [[nodiscard]] const BlockClassifier& classifier() const noexcept { return classifier_; }
   [[nodiscard]] std::uint64_t mem_version(LineAddr line) const noexcept;
 
@@ -242,7 +243,7 @@ class Fabric {
   Cycle bank_service(Cycle& busy_until, Cycle arrive, Cycle service) noexcept;
 
   void count_dir_access(BankId b);
-  void count_llc_touch(BankId b);
+  void count_llc_touch();
 
   MissResult coherent_miss(CoreId c, LineAddr line, bool is_write, Cycle now);
   MissResult nc_miss(CoreId c, LineAddr line, bool is_write, Cycle now);
@@ -276,7 +277,7 @@ class Fabric {
   void count_l1_hits(FabricStats& s, std::uint64_t n) noexcept {
     s.l1_accesses += n;
     s.l1_hits += n;
-    s.e_l1_pj += static_cast<double>(n) * energy_.l1_access_pj();
+    s.e_l1_pj += static_cast<double>(n) * kL1AccessPj;
   }
 
   void before_remote_touch(CoreId target, LineAddr first, std::uint32_t lines) {
@@ -284,7 +285,6 @@ class Fabric {
   }
 
   FabricConfig cfg_;
-  EnergyModel energy_;
   Mesh mesh_;
   std::vector<std::unique_ptr<L1Cache>> l1_;
   std::vector<std::unique_ptr<LlcBank>> llc_;

@@ -60,7 +60,7 @@ struct AccessOutcome {
   X(double, e_dir_pj) X(double, e_llc_pj) X(double, e_l1_pj)                                     \
   X(double, e_noc_pj) X(double, e_mem_pj)                                                        \
   /* DRAM per-op split of e_mem_pj under the kDdr model (replaces the flat */                    \
-  /* mem_access_pj): activate / column-read / column-write / precharge. */                       \
+  /* kMemAccessPj): activate / column-read / column-write / precharge. */                        \
   X(double, e_mem_act_pj) X(double, e_mem_rd_pj)                                                 \
   X(double, e_mem_wr_pj) X(double, e_mem_pre_pj)
 

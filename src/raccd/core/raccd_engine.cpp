@@ -4,18 +4,16 @@
 
 namespace raccd {
 
-RaccdEngine::RaccdEngine(std::uint32_t cores, const RaccdEngineConfig& cfg,
-                         Cycle tlb_walk_cycles)
-    : cfg_(cfg), tlb_walk_cycles_(tlb_walk_cycles) {
+RaccdEngine::RaccdEngine(std::uint32_t cores, const RaccdEngineConfig& cfg) {
   for (std::uint32_t c = 0; c < cores; ++c) {
-    ncrts_.push_back(std::make_unique<Ncrt>(cfg_.ncrt_entries));
+    ncrts_.push_back(std::make_unique<Ncrt>(cfg.ncrt_entries));
   }
 }
 
 RegisterOutcome RaccdEngine::register_region(CoreId c, VAddr va, std::uint64_t size,
                                              Tlb& tlb, const PageTable& pt) {
   RegisterOutcome out;
-  out.cycles = cfg_.instr_overhead_cycles;
+  out.cycles = kRaccdInstrOverheadCycles;
   if (size == 0) return out;
   Ncrt& table = ncrt(c);
 
@@ -29,10 +27,10 @@ RegisterOutcome RaccdEngine::register_region(CoreId c, VAddr va, std::uint64_t s
        page_va += kPageBytes) {
     const auto res = tlb.access(page_of(page_va), pt);
     ++out.pages_translated;
-    out.cycles += cfg_.per_page_lookup_cycles;
+    out.cycles += kRaccdPerPageLookupCycles;
     if (!res.hit) {
       ++out.tlb_misses;
-      out.cycles += tlb_walk_cycles_;
+      out.cycles += kTlbWalkCycles;
     }
     const PAddr frame_base = res.pframe << kPageShift;
     const PAddr chunk_start = frame_base + (page_va < va ? page_offset(va) : 0);
@@ -43,7 +41,7 @@ RegisterOutcome RaccdEngine::register_region(CoreId c, VAddr va, std::uint64_t s
       open_end = chunk_end;  // physically contiguous: collapse
     } else {
       if (open_end != 0) {
-        out.cycles += cfg_.per_insert_cycles;
+        out.cycles += kRaccdPerInsertCycles;
         if (table.insert(open_start, open_end)) {
           ++out.ranges_inserted;
         } else {
@@ -55,7 +53,7 @@ RegisterOutcome RaccdEngine::register_region(CoreId c, VAddr va, std::uint64_t s
     }
   }
   if (open_end != 0) {
-    out.cycles += cfg_.per_insert_cycles;
+    out.cycles += kRaccdPerInsertCycles;
     if (table.insert(open_start, open_end)) {
       ++out.ranges_inserted;
     } else {
@@ -67,7 +65,7 @@ RegisterOutcome RaccdEngine::register_region(CoreId c, VAddr va, std::uint64_t s
 
 Cycle RaccdEngine::invalidate(CoreId c) {
   ncrt(c).clear();
-  return cfg_.instr_overhead_cycles;
+  return kRaccdInstrOverheadCycles;
 }
 
 NcrtStats RaccdEngine::total_stats() const noexcept {

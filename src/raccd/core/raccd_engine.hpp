@@ -23,11 +23,13 @@
 
 namespace raccd {
 
+inline constexpr Cycle kRaccdInstrOverheadCycles = 4;   ///< issue/commit cost of either instruction
+inline constexpr Cycle kRaccdPerPageLookupCycles = 1;   ///< one TLB access per page of the region
+inline constexpr Cycle kRaccdPerInsertCycles = 1;       ///< one NCRT write per collapsed range
+
 struct RaccdEngineConfig {
   std::uint32_t ncrt_entries = 32;
-  Cycle instr_overhead_cycles = 4;     ///< issue/commit cost of either instruction
-  Cycle per_page_lookup_cycles = 1;    ///< one TLB access per page of the region
-  Cycle per_insert_cycles = 1;         ///< one NCRT write per collapsed range
+  Cycle ncrt_lookup_cycles = 1;  ///< added to the L1 miss path in RaCCD mode
 };
 
 struct RegisterOutcome {
@@ -40,9 +42,9 @@ struct RegisterOutcome {
 
 class RaccdEngine {
  public:
-  /// `tlb_walk_cycles` is the page-walk cost of a TLB miss
-  /// (TimingConfig::tlb_walk_cycles, the machine's one walk cost).
-  RaccdEngine(std::uint32_t cores, const RaccdEngineConfig& cfg, Cycle tlb_walk_cycles);
+  /// A TLB miss during registration pays kTlbWalkCycles, the machine's one
+  /// walk cost.
+  RaccdEngine(std::uint32_t cores, const RaccdEngineConfig& cfg);
 
   /// Execute raccd_register(va, size) on core `c`.
   RegisterOutcome register_region(CoreId c, VAddr va, std::uint64_t size, Tlb& tlb,
@@ -53,21 +55,18 @@ class RaccdEngine {
   /// fabric flush the caller performs).
   Cycle invalidate(CoreId c);
 
-  /// NCRT consultation on an L1 miss (1-cycle cost charged by the caller).
+  /// NCRT consultation on an L1 miss (the caller charges ncrt_lookup_cycles).
   [[nodiscard]] bool is_noncoherent(CoreId c, PAddr pa) noexcept {
     return ncrt(c).lookup(pa);
   }
 
   [[nodiscard]] Ncrt& ncrt(CoreId c) noexcept { return *ncrts_[c]; }
   [[nodiscard]] const Ncrt& ncrt(CoreId c) const noexcept { return *ncrts_[c]; }
-  [[nodiscard]] const RaccdEngineConfig& config() const noexcept { return cfg_; }
 
   /// Aggregate NCRT stats across cores.
   [[nodiscard]] NcrtStats total_stats() const noexcept;
 
  private:
-  RaccdEngineConfig cfg_;
-  Cycle tlb_walk_cycles_;
   std::vector<std::unique_ptr<Ncrt>> ncrts_;
 };
 

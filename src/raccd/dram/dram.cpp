@@ -7,20 +7,24 @@
 #include "raccd/common/format.hpp"
 
 namespace raccd {
+namespace {
+
+static_assert(is_pow2(kDramRowBytes / kLineBytes),
+              "DRAM row must hold a power-of-two number of lines");
+/// Line-address bits of the column within a row.
+constexpr unsigned kRowLineBits = log2_exact(kDramRowBytes / kLineBytes);
+
+}  // namespace
 
 DramController::DramController(const DramConfig& cfg) : cfg_(cfg) {
   RACCD_ASSERT(is_pow2(cfg_.channels), "DRAM channel count must be a power of two");
   RACCD_ASSERT(is_pow2(cfg_.banks), "DRAM bank count must be a power of two");
-  const std::uint32_t lines_per_row = cfg_.row_bytes / kLineBytes;
-  RACCD_ASSERT(lines_per_row > 0 && is_pow2(lines_per_row),
-               "DRAM row must hold a power-of-two number of lines");
   ch_bits_ = log2_exact(cfg_.channels);
   bank_bits_ = log2_exact(cfg_.banks);
-  row_line_bits_ = log2_exact(lines_per_row);
   channels_.resize(cfg_.channels);
   for (Channel& ch : channels_) {
     ch.banks.resize(cfg_.banks);
-    ch.read_q.reserve(cfg_.read_queue_slots);
+    ch.read_q.reserve(kDramReadQueueSlots);
     ch.write_q.reserve(cfg_.write_queue_slots);
   }
 }
@@ -40,15 +44,15 @@ Cycle DramController::wait_for_slot(std::vector<Cycle>& q, std::uint32_t slots,
 
 DramOutcome DramController::service(LineAddr line, Cycle arrive, bool is_write) {
   // Address mapping: line-interleaved channels, then row:bank:column — a row
-  // is `row_bytes` of consecutive lines, consecutive rows rotate banks, so
+  // is kDramRowBytes of consecutive lines, consecutive rows rotate banks, so
   // streaming access row-hits within a row and spreads across banks.
   const std::uint32_t ch_idx = static_cast<std::uint32_t>(line & (cfg_.channels - 1));
   Channel& ch = channels_[ch_idx];
   const std::uint64_t col = line >> ch_bits_;
   const std::uint32_t bank_idx =
-      static_cast<std::uint32_t>((col >> row_line_bits_) & (cfg_.banks - 1));
+      static_cast<std::uint32_t>((col >> kRowLineBits) & (cfg_.banks - 1));
   Bank& bank = ch.banks[bank_idx];
-  const std::uint64_t row = col >> (row_line_bits_ + bank_bits_);
+  const std::uint64_t row = col >> (kRowLineBits + bank_bits_);
 
   DramOutcome out;
   out.channel = ch_idx;
@@ -57,7 +61,7 @@ DramOutcome DramController::service(LineAddr line, Cycle arrive, bool is_write) 
   // Writebacks occupy write-queue slots that backpressure reads: a full
   // write queue forces a drain before *any* request issues.
   start = wait_for_slot(ch.write_q, cfg_.write_queue_slots, start);
-  if (!is_write) start = wait_for_slot(ch.read_q, cfg_.read_queue_slots, start);
+  if (!is_write) start = wait_for_slot(ch.read_q, kDramReadQueueSlots, start);
 
   const bool hit = bank.open && bank.row == row;
   const bool conflict = bank.open && bank.row != row;
@@ -70,29 +74,29 @@ DramOutcome DramController::service(LineAddr line, Cycle arrive, bool is_write) 
   if (conflict) {
     // The open row must precharge first; a young row also waits out tRAS.
     const Cycle pre_at = std::max(start, bank.ras_ready);
-    lat = (pre_at - start) + cfg_.t_rp;
+    lat = (pre_at - start) + kDramTRp;
     out.precharged = true;
   }
   if (!hit) {
-    lat += cfg_.t_rcd;
+    lat += kDramTRcd;
     out.activated = true;
   }
-  lat += cfg_.t_cas;
+  lat += kDramTCas;
   // The burst serializes on the channel data bus — except that FR-FCFS lets
   // a row hit's burst slip into an idle bus slot ahead of a slower earlier
   // request (the reordering that makes the policy pay).
-  Cycle done = start + lat + cfg_.t_burst;
+  Cycle done = start + lat + kDramTBurst;
   const bool bypass = cfg_.sched == DramSched::kFrFcfs && hit;
-  if (!bypass) done = std::max(done, ch.bus_busy_until + cfg_.t_burst);
+  if (!bypass) done = std::max(done, ch.bus_busy_until + kDramTBurst);
   ch.bus_busy_until = std::max(ch.bus_busy_until, done);
-  if (out.activated) bank.ras_ready = (done - cfg_.t_burst - cfg_.t_cas) + cfg_.t_ras;
+  if (out.activated) bank.ras_ready = (done - kDramTBurst - kDramTCas) + kDramTRas;
 
   bank.row = row;
   bank.open = true;
   bank.busy_until = done;
   if (cfg_.page == PagePolicy::kClosed) {
     // Auto-precharge after every access: the bank reopens from scratch.
-    bank.busy_until = done + cfg_.t_rp;
+    bank.busy_until = done + kDramTRp;
     bank.open = false;
     out.precharged = true;
   }
@@ -113,12 +117,12 @@ void DramController::warm_touch(LineAddr line) noexcept {
   // windows, no tRAS bookkeeping, no queue slots.
   Channel& ch = channels_[line & (cfg_.channels - 1)];
   const std::uint64_t col = line >> ch_bits_;
-  Bank& bank = ch.banks[(col >> row_line_bits_) & (cfg_.banks - 1)];
+  Bank& bank = ch.banks[(col >> kRowLineBits) & (cfg_.banks - 1)];
   if (cfg_.page == PagePolicy::kClosed) {
     bank.open = false;
     return;
   }
-  bank.row = col >> (row_line_bits_ + bank_bits_);
+  bank.row = col >> (kRowLineBits + bank_bits_);
   bank.open = true;
 }
 

@@ -7,7 +7,7 @@
 //
 // Two models:
 //  * kSimple (default) — the legacy flat latency: every off-chip access
-//    costs FabricConfig::mem_cycles and one EnergyConfig::mem_access_pj.
+//    costs kMemCycles (coherence/fabric.hpp) and one kMemAccessPj.
 //    The fabric never consults a DramController in this mode, so behavior
 //    is byte-identical to the pre-DRAM simulator.
 //  * kDdr — the closed-form bank/row-buffer model below. Row hits pay
@@ -56,26 +56,29 @@ enum class DramSched : std::uint8_t { kFrFcfs = 0, kFcfs };
   return "?";
 }
 
+/// Row-buffer size; rows are kDramRowBytes / 64 consecutive lines (power of 2).
+inline constexpr std::uint32_t kDramRowBytes = 2048;
+/// Per-channel read-queue capacity (DramConfig::write_queue_slots is the
+/// write side).
+inline constexpr std::uint32_t kDramReadQueueSlots = 16;
+// Bank timing in core cycles (~DDR4-2400 behind a 2.4 GHz core: 14-16 ns
+// tRCD/tCAS/tRP, 35 ns tRAS, 4-beat burst over the controller interface).
+inline constexpr Cycle kDramTRcd = 44;    ///< activate -> column command
+inline constexpr Cycle kDramTCas = 44;    ///< column command -> first data
+inline constexpr Cycle kDramTRp = 44;     ///< precharge
+inline constexpr Cycle kDramTRas = 104;   ///< activate -> earliest precharge
+inline constexpr Cycle kDramTBurst = 16;  ///< data burst on the channel bus
+
 struct DramConfig {
   DramModel model = DramModel::kSimple;
   /// Channels per controller; lines interleave across channels (power of 2).
   std::uint32_t channels = 1;
   /// Banks per channel; consecutive rows interleave across banks (power of 2).
   std::uint32_t banks = 8;
-  /// Row-buffer size; rows are row_bytes / 64 consecutive lines (power of 2).
-  std::uint32_t row_bytes = 2048;
   PagePolicy page = PagePolicy::kOpen;
   DramSched sched = DramSched::kFrFcfs;
-  /// Per-channel queue capacities; a full write queue stalls reads too.
-  std::uint32_t read_queue_slots = 16;
+  /// Per-channel write-queue capacity; a full write queue stalls reads too.
   std::uint32_t write_queue_slots = 8;
-  // Bank timing in core cycles (~DDR4-2400 behind a 2.4 GHz core: 14-16 ns
-  // tRCD/tCAS/tRP, 35 ns tRAS, 4-beat burst over the controller interface).
-  Cycle t_rcd = 44;    ///< activate -> column command
-  Cycle t_cas = 44;    ///< column command -> first data
-  Cycle t_rp = 44;     ///< precharge
-  Cycle t_ras = 104;   ///< activate -> earliest precharge
-  Cycle t_burst = 16;  ///< data burst on the channel bus
 };
 
 /// One serviced request, as accounted by the fabric. Beyond the timing the
@@ -115,8 +118,6 @@ class DramController {
   /// follows a fast-forward phase sees realistic row-hit behavior.
   void warm_touch(LineAddr line) noexcept;
 
-  [[nodiscard]] const DramConfig& config() const noexcept { return cfg_; }
-
  private:
   struct Bank {
     bool open = false;
@@ -126,7 +127,7 @@ class DramController {
   };
   struct Channel {
     std::vector<Bank> banks;
-    Cycle bus_busy_until = 0;  ///< data-bus serialization (t_burst per access)
+    Cycle bus_busy_until = 0;  ///< data-bus serialization (kDramTBurst per access)
     Cycle last_start = 0;      ///< FCFS in-order issue point
     std::vector<Cycle> read_q, write_q;  ///< completion times of queued requests
   };
@@ -137,7 +138,7 @@ class DramController {
 
   DramConfig cfg_;
   std::vector<Channel> channels_;
-  std::uint32_t ch_bits_ = 0, bank_bits_ = 0, row_line_bits_ = 0;
+  std::uint32_t ch_bits_ = 0, bank_bits_ = 0;
 };
 
 /// Parse a DRAM-model token: "simple" (default), or "ddr" with optional

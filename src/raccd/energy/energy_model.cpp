@@ -4,25 +4,17 @@
 
 namespace raccd {
 
-double EnergyModel::dir_access_pj(std::uint32_t active_entries) const noexcept {
+double dir_access_pj(std::uint32_t active_entries, std::uint32_t ref_entries) noexcept {
   if (active_entries == 0) return 0.0;
-  return cfg_.dir_ref_pj *
-         std::pow(static_cast<double>(active_entries) / cfg_.dir_ref_entries,
-                  cfg_.size_exponent);
+  return kDirRefPj *
+         std::pow(static_cast<double>(active_entries) / ref_entries, kSizeExponent);
 }
 
-double EnergyModel::llc_access_pj(std::uint32_t lines_per_bank) const noexcept {
-  if (lines_per_bank == 0) return 0.0;
-  return cfg_.llc_ref_pj *
-         std::pow(static_cast<double>(lines_per_bank) / cfg_.llc_ref_lines,
-                  cfg_.size_exponent);
-}
-
-double EnergyModel::dir_leakage_pj(std::uint64_t active_entries, std::uint64_t cycles,
-                                   double ghz) const noexcept {
+double dir_leakage_pj(std::uint64_t active_entries, std::uint64_t cycles,
+                      double ghz) noexcept {
   // pW * cycles / (GHz * 1e9 cycles/s) = pJ * 1e-9; fold the 1e-9 in.
   const double seconds = static_cast<double>(cycles) / (ghz * 1e9);
-  return cfg_.dir_leak_pw_per_entry * static_cast<double>(active_entries) * seconds;
+  return kDirLeakPwPerEntry * static_cast<double>(active_entries) * seconds;
 }
 
 }  // namespace raccd

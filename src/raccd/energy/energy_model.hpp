@@ -6,8 +6,12 @@
 // bitline/wordline length scaling CACTI exhibits for same-associativity
 // arrays. Reference energies are in the range CACTI reports for similar
 // arrays at this node. All paper energy figures are *normalized*, so only
-// this relative scaling is load-bearing; we document absolute values in
-// EXPERIMENTS.md for transparency.
+// this relative scaling is load-bearing; DESIGN.md's "Model constants" table
+// lists the absolute values for transparency.
+//
+// The reference size of both arrays is the machine's LLC bank (lines per
+// bank): the 1:1 directory bank has as many entries, so a full directory
+// bank costs kDirRefPj per access and the LLC bank always costs kLlcAccessPj.
 //
 // ADR ties per-access energy to the *currently active* directory size: a
 // Gated-Vdd powered-down portion neither spends dynamic energy nor leaks.
@@ -17,60 +21,41 @@
 
 namespace raccd {
 
-struct EnergyConfig {
-  double size_exponent = 0.5;  ///< alpha in E(n) = E_ref * (n/n_ref)^alpha
+inline constexpr double kSizeExponent = 0.5;  ///< alpha in E(n) = E_ref * (n/n_ref)^alpha
 
-  double dir_ref_pj = 20.0;           ///< directory bank access at dir_ref_entries
-  std::uint32_t dir_ref_entries = 32768;
+/// Directory bank access at the reference size (one LLC bank's line count).
+inline constexpr double kDirRefPj = 20.0;
+/// LLC bank access. The bank is its own reference size, so this never scales.
+inline constexpr double kLlcAccessPj = 120.0;
 
-  double llc_ref_pj = 120.0;          ///< LLC bank access at llc_ref_lines
-  std::uint32_t llc_ref_lines = 32768;  ///< 2 MB / 64 B
+inline constexpr double kL1AccessPj = 10.0;
+/// Pure hits sum their L1 energy out of the global event order (DESIGN.md,
+/// "Conservative lookahead"), which is exact only in whole picojoules.
+static_assert(kL1AccessPj == static_cast<double>(static_cast<std::int64_t>(kL1AccessPj)),
+              "out-of-order L1 energy sums need an integral per-access energy");
+inline constexpr double kNocFlitHopPj = 6.0;
+inline constexpr double kMemAccessPj = 15000.0;  ///< DRAM access (row activation + IO)
 
-  double l1_access_pj = 10.0;
-  double noc_flit_hop_pj = 6.0;
-  double ncrt_lookup_pj = 0.6;
-  double mem_access_pj = 15000.0;  ///< DRAM access (row activation + IO)
+/// Per-op DRAM energies for the detailed dram/dram.hpp model, which
+/// replace the flat kMemAccessPj there: a closed-page access
+/// (ACT + RD + PRE ~ 13 nJ) lands near the flat number, while a row hit
+/// pays only the column read — the energy side of row-buffer locality.
+inline constexpr double kDramActivatePj = 8000.0;
+inline constexpr double kDramReadPj = 3000.0;
+inline constexpr double kDramWritePj = 3200.0;
+inline constexpr double kDramPrechargePj = 2000.0;
 
-  /// Per-op DRAM energies for the detailed dram/dram.hpp model, which
-  /// replace the flat mem_access_pj there: a closed-page access
-  /// (ACT + RD + PRE ~ 13 nJ) lands near the flat number, while a row hit
-  /// pays only the column read — the energy side of row-buffer locality.
-  double dram_activate_pj = 8000.0;
-  double dram_read_pj = 3000.0;
-  double dram_write_pj = 3200.0;
-  double dram_precharge_pj = 2000.0;
+/// Leakage power per directory entry (Gated-Vdd cuts this for powered-off
+/// entries). 66 bits/entry at 22 nm LP: ~2 pW/bit.
+inline constexpr double kDirLeakPwPerEntry = 132.0;
 
-  /// Leakage power per directory entry (Gated-Vdd cuts this for powered-off
-  /// entries). 66 bits/entry at 22 nm LP: ~2 pW/bit.
-  double dir_leak_pw_per_entry = 132.0;
-};
+/// Per-access dynamic energy of one directory bank with `active_entries`
+/// currently powered (ADR shrinks this), against a bank of `ref_entries`.
+[[nodiscard]] double dir_access_pj(std::uint32_t active_entries,
+                                   std::uint32_t ref_entries) noexcept;
 
-class EnergyModel {
- public:
-  explicit EnergyModel(const EnergyConfig& cfg = {}) : cfg_(cfg) {}
-
-  /// Per-access dynamic energy of one directory bank with `active_entries`
-  /// currently powered (ADR shrinks this).
-  [[nodiscard]] double dir_access_pj(std::uint32_t active_entries) const noexcept;
-
-  [[nodiscard]] double llc_access_pj(std::uint32_t lines_per_bank) const noexcept;
-  [[nodiscard]] double l1_access_pj() const noexcept { return cfg_.l1_access_pj; }
-  [[nodiscard]] double noc_flit_hop_pj() const noexcept { return cfg_.noc_flit_hop_pj; }
-  [[nodiscard]] double ncrt_lookup_pj() const noexcept { return cfg_.ncrt_lookup_pj; }
-  [[nodiscard]] double mem_access_pj() const noexcept { return cfg_.mem_access_pj; }
-  [[nodiscard]] double dram_activate_pj() const noexcept { return cfg_.dram_activate_pj; }
-  [[nodiscard]] double dram_read_pj() const noexcept { return cfg_.dram_read_pj; }
-  [[nodiscard]] double dram_write_pj() const noexcept { return cfg_.dram_write_pj; }
-  [[nodiscard]] double dram_precharge_pj() const noexcept { return cfg_.dram_precharge_pj; }
-
-  /// Leakage energy of `active_entries` over `cycles` cycles at `ghz`.
-  [[nodiscard]] double dir_leakage_pj(std::uint64_t active_entries, std::uint64_t cycles,
-                                      double ghz = 1.0) const noexcept;
-
-  [[nodiscard]] const EnergyConfig& config() const noexcept { return cfg_; }
-
- private:
-  EnergyConfig cfg_;
-};
+/// Leakage energy of `active_entries` over `cycles` cycles at `ghz`.
+[[nodiscard]] double dir_leakage_pj(std::uint64_t active_entries, std::uint64_t cycles,
+                                    double ghz = 1.0) noexcept;
 
 }  // namespace raccd

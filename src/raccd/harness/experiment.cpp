@@ -110,7 +110,7 @@ SimConfig config_for(const RunSpec& spec) {
   cfg.adr.enabled = spec.adr;
   cfg.adr.theta_inc = spec.adr_theta_inc;
   cfg.adr.theta_dec = spec.adr_theta_dec;
-  cfg.timing.ncrt_lookup_cycles = spec.ncrt_latency;
+  cfg.raccd.ncrt_lookup_cycles = spec.ncrt_latency;
   cfg.raccd.ncrt_entries = spec.ncrt_entries;
   cfg.alloc_policy = spec.alloc;
   cfg.sched = spec.sched;

@@ -78,7 +78,7 @@ struct RunSpec {
 /// result* (aborts on corruption — every benchmark run is also an
 /// end-to-end correctness test), and collect stats. When the spec samples a
 /// series and `series_out` is non-null, the recorded Series is copied there
-/// (cheap next to the simulation: at most max_samples rows).
+/// (cheap next to the simulation: at most kSeriesMaxSamples rows).
 [[nodiscard]] SimStats run_one(const RunSpec& spec, Series* series_out = nullptr);
 
 /// Like run_one, but *run-level* failures — unknown workload, invalid

@@ -1,6 +1,5 @@
 #include "raccd/metrics/series.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "raccd/common/assert.hpp"
@@ -79,8 +78,7 @@ std::string series_map_json(
 
 StatSampler::StatSampler(const SeriesConfig& cfg,
                          std::function<void(Cycle, SimStats&)> snapshot)
-    // Decimation halves the buffer, so the bound needs headroom for 2.
-    : snapshot_(std::move(snapshot)), max_samples_(std::max(2u, cfg.max_samples)) {
+    : snapshot_(std::move(snapshot)) {
   RACCD_ASSERT(cfg.interval > 0, "StatSampler requires a nonzero interval");
   const MetricSchema& schema = MetricSchema::instance();
   std::vector<std::string> names;
@@ -108,7 +106,7 @@ void StatSampler::sample(Cycle at) {
   std::vector<double> v;
   v.reserve(selection_.size());
   for (const MetricDesc* m : selection_) v.push_back(m->value(snap).as_double());
-  series_.push(at, std::move(v), max_samples_);
+  series_.push(at, std::move(v), kSeriesMaxSamples);
 }
 
 void StatSampler::observe(Cycle now) {

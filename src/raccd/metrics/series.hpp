@@ -5,9 +5,9 @@
 // SeriesConfig::interval cycles it snapshots the live machine state (via a
 // caller-supplied snapshot function) and evaluates a by-name metric
 // selection into a Series. Memory is bounded: when the sample count reaches
-// SeriesConfig::max_samples the series decimates — every second sample is
-// dropped and the effective interval doubles — so arbitrarily long runs keep
-// full-run coverage at O(max_samples) memory (DESIGN.md substitution #8).
+// kSeriesMaxSamples the series decimates — every second sample is dropped
+// and the effective interval doubles — so arbitrarily long runs keep
+// full-run coverage at O(kSeriesMaxSamples) memory (DESIGN.md substitution #8).
 //
 // Sampling is deterministic: sample times derive only from simulated event
 // times, so identical specs produce identical series (tested).
@@ -23,6 +23,11 @@
 #include "raccd/sim/config.hpp"
 
 namespace raccd {
+
+/// StatSampler's ring bound: reaching it drops every second sample and
+/// doubles the effective interval, so memory stays O(kSeriesMaxSamples) for
+/// any run length.
+inline constexpr std::uint32_t kSeriesMaxSamples = 4096;
 
 class Series {
  public:
@@ -94,7 +99,6 @@ class StatSampler {
   std::vector<const MetricDesc*> selection_;
   Series series_;
   Cycle next_ = 0;
-  std::uint32_t max_samples_;
 };
 
 }  // namespace raccd

@@ -42,7 +42,7 @@ namespace {
 void raccd_print_config_extra(const SimConfig& cfg, std::FILE* out) {
   std::fprintf(out, "  NCRT: %u entries/core, %u-cycle lookup | ADR: %s\n",
                cfg.raccd.ncrt_entries,
-               static_cast<unsigned>(cfg.timing.ncrt_lookup_cycles),
+               static_cast<unsigned>(cfg.raccd.ncrt_lookup_cycles),
                cfg.adr.enabled ? "on" : "off");
 }
 
@@ -54,10 +54,10 @@ void raccd_print_report_extra(const SimStats& s, std::FILE* out) {
                static_cast<unsigned long long>(s.flushed_nc_wbs));
 }
 
-void wbnc_print_config_extra(const SimConfig& cfg, std::FILE* out) {
+void wbnc_print_config_extra(const SimConfig& /*cfg*/, std::FILE* out) {
   std::fprintf(out, "  software coherence: whole-L1 writeback flush at task end "
                     "(%u-cycle call)\n",
-               static_cast<unsigned>(cfg.timing.swcoh_flush_call_cycles));
+               static_cast<unsigned>(kSwcohFlushCallCycles));
 }
 
 void wbnc_print_report_extra(const SimStats& s, std::FILE* out) {

@@ -32,7 +32,7 @@ AccessClass PtBackend::classify(CoreId c, VAddr vaddr, PageNum pframe, Cycle now
     // owner up to date first (Fabric::RemoteTouchHook), for both steps.
     const auto fo = ctx_.fabric.flush_page_lines(d.prev_owner, pframe, now);
     ctx_.tlbs[d.prev_owner].invalidate(vpage);
-    out.extra_cycles = fo.cycles + ctx_.cfg.timing.pt_shootdown_cycles;
+    out.extra_cycles = fo.cycles + kPtShootdownCycles;
     if (obs_trace_ != nullptr && obs_trace_->wants(obs::TraceCat::kCoh)) {
       // Classification flip: the page just went private -> shared forever
       // (paper §II-B); placed when the recovery completes.

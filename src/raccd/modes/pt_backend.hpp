@@ -11,6 +11,9 @@
 
 namespace raccd {
 
+/// TLB shootdown at a private -> shared transition, on top of the page flush.
+inline constexpr Cycle kPtShootdownCycles = 400;
+
 class PtBackend final : public CoherenceBackend {
  public:
   explicit PtBackend(const BackendContext& ctx) : CoherenceBackend(ctx) {}

@@ -12,7 +12,7 @@ namespace raccd {
 
 RaccdBackend::RaccdBackend(const BackendContext& ctx)
     : CoherenceBackend(ctx),
-      engine_(ctx.cfg.fabric.cores, ctx.cfg.raccd, ctx.cfg.timing.tlb_walk_cycles) {}
+      engine_(ctx.cfg.fabric.cores, ctx.cfg.raccd) {}
 
 void RaccdBackend::on_obs_trace() {
   if (obs_trace_ == nullptr) return;
@@ -50,7 +50,7 @@ AccessClass RaccdBackend::classify_thunk(CoherenceBackend* self, CoreId c, VAddr
   (void)now;
   auto* be = static_cast<RaccdBackend*>(self);
   return {be->engine_.is_noncoherent(c, paddr),
-          be->ctx_.cfg.timing.ncrt_lookup_cycles};
+          be->ctx_.cfg.raccd.ncrt_lookup_cycles};
 }
 
 TaskEndOutcome RaccdBackend::on_task_end(CoreId c, Cycle now) {

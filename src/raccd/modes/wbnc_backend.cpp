@@ -23,7 +23,7 @@ TaskEndOutcome WbNcBackend::on_task_end(CoreId c, Cycle now) {
   // dependent tasks read the produced data from the LLC. All lines are NC in
   // this mode, so the NC-line walk empties the whole cache.
   const auto fo = ctx_.fabric.flush_nc_lines(c, now);
-  return {ctx_.cfg.timing.swcoh_flush_call_cycles + fo.cycles, fo.lines,
+  return {kSwcohFlushCallCycles + fo.cycles, fo.lines,
           fo.writebacks};
 }
 

@@ -15,6 +15,9 @@
 
 namespace raccd {
 
+/// Software cache-flush call at task end, on top of the flush walk.
+inline constexpr Cycle kSwcohFlushCallCycles = 30;
+
 class WbNcBackend final : public CoherenceBackend {
  public:
   explicit WbNcBackend(const BackendContext& ctx) : CoherenceBackend(ctx) {}

@@ -1,7 +1,5 @@
 #include "raccd/noc/mesh.hpp"
 
-#include "raccd/common/assert.hpp"
-
 namespace raccd {
 
 std::uint64_t NocStats::total_messages() const noexcept {
@@ -18,17 +16,6 @@ std::uint64_t NocStats::total_flit_hops() const noexcept {
   std::uint64_t sum = 0;
   for (const auto& c : per_class) sum += c.flit_hops;
   return sum;
-}
-Mesh::Mesh(const MeshConfig& cfg, const TopologyConfig& topo, std::uint32_t cores)
-    : cfg_(cfg), topo_(topo, cores) {
-  RACCD_ASSERT(cfg_.flit_bytes > 0, "flit size must be positive");
-}
-
-std::uint32_t Mesh::flits_for(MsgClass cls) const noexcept {
-  const std::uint32_t bytes = (cls == MsgClass::kResponseData || cls == MsgClass::kWriteback)
-                                  ? cfg_.data_bytes
-                                  : cfg_.control_bytes;
-  return (bytes + cfg_.flit_bytes - 1) / cfg_.flit_bytes;
 }
 
 Cycle Mesh::latency(std::uint32_t from, std::uint32_t to, MsgClass cls) const noexcept {

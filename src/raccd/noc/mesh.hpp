@@ -42,11 +42,9 @@ inline constexpr std::size_t kMsgClassCount = 5;
 }
 
 /// Message sizing. Grid size and link timing come from the TopologyConfig.
-struct MeshConfig {
-  std::uint32_t flit_bytes = 16;
-  std::uint32_t control_bytes = 8;                 ///< header-only message payload
-  std::uint32_t data_bytes = 8 + kLineBytes;       ///< header + cache line
-};
+inline constexpr std::uint32_t kFlitBytes = 16;
+inline constexpr std::uint32_t kControlBytes = 8;            ///< header-only message payload
+inline constexpr std::uint32_t kDataBytes = 8 + kLineBytes;  ///< header + cache line
 
 #define RACCD_NOC_CLASS_STATS_FIELDS(X) \
   X(std::uint64_t, messages)            \
@@ -80,8 +78,8 @@ struct NocStats {
 
 class Mesh {
  public:
-  /// `cfg` supplies flit sizing; geometry and link timing come from `topo`.
-  Mesh(const MeshConfig& cfg, const TopologyConfig& topo, std::uint32_t cores);
+  /// Geometry and link timing come from `topo`.
+  Mesh(const TopologyConfig& topo, std::uint32_t cores) : topo_(topo, cores) {}
 
   [[nodiscard]] std::uint32_t node_count() const noexcept { return topo_.cores(); }
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
@@ -109,10 +107,14 @@ class Mesh {
     return topo_.mem_controller(node);
   }
 
-  [[nodiscard]] std::uint32_t flits_for(MsgClass cls) const noexcept;
+  [[nodiscard]] static constexpr std::uint32_t flits_for(MsgClass cls) noexcept {
+    const std::uint32_t bytes =
+        (cls == MsgClass::kResponseData || cls == MsgClass::kWriteback) ? kDataBytes
+                                                                         : kControlBytes;
+    return (bytes + kFlitBytes - 1) / kFlitBytes;
+  }
   [[nodiscard]] const NocStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = NocStats{}; }
-  [[nodiscard]] const MeshConfig& config() const noexcept { return cfg_; }
 
   /// Redirect traffic accounting into `sink` (nullptr = the mesh's own
   /// measured stats). Sampled simulation points this at a scratch bucket
@@ -122,7 +124,6 @@ class Mesh {
   void set_stats_sink(NocStats* sink) noexcept { sink_ = sink; }
 
  private:
-  MeshConfig cfg_;
   Topology topo_;
   NocStats stats_;
   NocStats* sink_ = nullptr;  ///< non-null: stats bucket override

@@ -16,6 +16,12 @@
 
 namespace raccd {
 
+// Runtime-system cycle costs, charged by the machine.
+inline constexpr Cycle kTaskCreateCycles = 120;    ///< per task, on the creating thread
+inline constexpr Cycle kDepAnalysisCycles = 40;    ///< per dependence at creation
+inline constexpr Cycle kScheduleCycles = 150;      ///< scheduling phase per task (paper Fig. 3)
+inline constexpr Cycle kWakeupPerEdgeCycles = 30;  ///< wake-up phase per resolved edge
+
 struct RuntimeStats {
   std::uint64_t tasks_created = 0;
   std::uint64_t deps_registered = 0;

@@ -15,8 +15,6 @@ SimConfig SimConfig::scaled(CohMode mode) {
   cfg.fabric.llc.ways = 8;
   cfg.fabric.dir.entries_per_bank = 2048;  // 1:1
   cfg.fabric.dir.ways = 8;
-  cfg.fabric.energy.dir_ref_entries = 2048;
-  cfg.fabric.energy.llc_ref_lines = 2048;
   return cfg;
 }
 
@@ -24,8 +22,6 @@ SimConfig SimConfig::paper(CohMode mode) {
   SimConfig cfg = scaled(mode);
   cfg.fabric.llc.lines_per_bank = 32768;  // 2 MB/bank, 32 MB total
   cfg.fabric.dir.entries_per_bank = 32768;
-  cfg.fabric.energy.dir_ref_entries = 32768;
-  cfg.fabric.energy.llc_ref_lines = 32768;
   cfg.phys_mb = 4096;
   return cfg;
 }

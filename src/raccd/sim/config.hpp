@@ -30,22 +30,6 @@ namespace raccd {
 /// The paper's directory-reduction sweep (Fig. 6/7, Table III).
 inline constexpr std::array<std::uint32_t, 7> kDirRatios{1, 2, 4, 8, 16, 64, 256};
 
-/// Runtime-system and ISA-extension cycle costs.
-struct TimingConfig {
-  Cycle task_create_cycles = 120;     ///< per task, on the creating thread
-  Cycle dep_analysis_cycles = 40;     ///< per dependence at creation
-  Cycle schedule_cycles = 150;        ///< scheduling phase per task (paper Fig. 3)
-  Cycle wakeup_per_edge_cycles = 30;  ///< wake-up phase per resolved edge
-  Cycle ncrt_lookup_cycles = 1;       ///< added to L1 miss path in RaCCD mode
-  Cycle tlb_walk_cycles = 50;
-  Cycle pt_shootdown_cycles = 400;  ///< TLB shootdown at private->shared
-  Cycle swcoh_flush_call_cycles = 30;  ///< WbNC software cache-flush call at task end
-  /// OoO miss overlap: the detailed 4-wide cores of the paper hide part of
-  /// each miss behind independent work; the core-perceived stall is
-  /// l1_hit + (latency - l1_hit) / miss_overlap (DESIGN.md substitution #1).
-  double miss_overlap = 3.0;
-};
-
 /// Phase-resolved stat sampling (metrics/series.hpp): every `interval`
 /// cycles the machine snapshots the selected metrics into a bounded Series.
 /// Defined here (not in the metrics layer) so SimConfig can carry it without
@@ -53,9 +37,6 @@ struct TimingConfig {
 struct SeriesConfig {
   Cycle interval = 0;    ///< sampling period in cycles; 0 = disabled
   std::string metrics;   ///< comma-separated metric names; empty = default subset
-  /// Ring bound: reaching it drops every second sample and doubles the
-  /// effective interval, so memory stays O(max_samples) for any run length.
-  std::uint32_t max_samples = 4096;
 };
 
 /// SMARTS-style sampled simulation (DESIGN.md substitution #12): tasks are
@@ -85,7 +66,6 @@ struct SimConfig {
   FabricConfig fabric{};
   RaccdEngineConfig raccd{};
   AdrConfig adr{};
-  TimingConfig timing{};
   std::uint32_t tlb_entries = 256;
   std::uint64_t phys_mb = 512;  ///< simulated physical memory
   AllocPolicy alloc_policy = AllocPolicy::kContiguous;

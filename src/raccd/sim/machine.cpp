@@ -15,10 +15,19 @@ namespace {
 /// space PhysMemory allocates from — derive them from one place.
 [[nodiscard]] SimConfig finalized(SimConfig cfg) {
   cfg.fabric.topo.phys_frames = cfg.phys_mb * (1024 * 1024 / kPageBytes);
-  // Pre-size the fabric's memory version map (clamped there) so large runs
-  // don't rehash it unboundedly.
-  cfg.fabric.phys_lines_hint = cfg.fabric.topo.phys_frames * kLinesPerPage;
   return cfg;
+}
+
+/// The memoized class of page `vpage` in `memo` (sorted by page), from
+/// `classify()` the first time the task asks for it.
+template <class Classify>
+bool memo_page_class(std::vector<std::pair<PageNum, bool>>& memo, PageNum vpage,
+                     Classify&& classify) {
+  auto it = std::lower_bound(
+      memo.begin(), memo.end(), vpage,
+      [](const std::pair<PageNum, bool>& e, PageNum p) { return e.first < p; });
+  if (it == memo.end() || it->first != vpage) it = memo.insert(it, {vpage, classify().nc});
+  return it->second;
 }
 
 /// A clock no batch of pure hits reaches: run the whole window.
@@ -94,11 +103,8 @@ Machine::Machine(const SimConfig& cfg)
   // Each guard below is an observer of the global order a pure hit would
   // move: the series snapshots counters at global instants, the checker's
   // golden versions follow store order, and ADR polls the directory's dirty
-  // mask after every record at its clock. Summing L1 energy out of order is
-  // exact only in whole picojoules.
-  const double l1_pj = cfg_.fabric.energy.l1_access_pj;
-  run_ahead_ = cfg_.series.interval == 0 && !cfg_.enable_checker && !cfg_.adr.enabled &&
-               l1_pj == std::trunc(l1_pj);
+  // mask after every record at its clock.
+  run_ahead_ = cfg_.series.interval == 0 && !cfg_.enable_checker && !cfg_.adr.enabled;
   keys_.assign(cores_.size(), kAsleep);
   if (run_ahead_) {
     for (CoreState& cs : cores_) cs.ahead.resize(kLookahead);
@@ -142,8 +148,7 @@ void Machine::set_obs_trace(obs::TraceSink* sink) {
 }
 
 TaskId Machine::spawn(TaskDesc desc) {
-  const Cycle cost = cfg_.timing.task_create_cycles +
-                     cfg_.timing.dep_analysis_cycles * desc.deps.size();
+  const Cycle cost = kTaskCreateCycles + kDepAnalysisCycles * desc.deps.size();
   main_clock_ += cost;
   create_cycles_ += cost;
   return rt_.create_task(std::move(desc));
@@ -252,12 +257,11 @@ void Machine::look_ahead(CoreId c) {
   if (run_ahead_ && cs.current != kNoTask && cs.phase != SimPhase::kFfwd) {
     // A pure hit: a TLB hit (no walk, no first-touch mapping), an L1 hit,
     // and a read or a store to an E, M or NC line (a store to S upgrades).
-    // It costs l1_hit_cycles per access, repeats included, like a hitting
+    // It costs kL1HitCycles per access, repeats included, like a hitting
     // replay_record; executing earlier pure hits changes none of these tests.
     const auto& recs = cs.trace.records();
     Tlb& tlb = tlbs_[c];
     L1Cache& l1 = fabric_.l1(c);
-    const Cycle hit_cycles = cfg_.fabric.l1_hit_cycles;
     const std::size_t limit = std::min(recs.size(), i + kLookahead);
     PageNum vpage = ~PageNum{0}, pframe = 0;
     std::uint32_t slot = Tlb::kNoSlot;
@@ -272,7 +276,7 @@ void Machine::look_ahead(CoreId c) {
       L1Line* l = l1.find(line_of((pframe << kPageShift) | page_offset(r.vaddr)));
       if (l == nullptr || (r.is_write != 0 && l->coh == Mesi::kShared)) break;
       cs.ahead[i - cs.ahead_base] = PureHit{l, slot};
-      at += r.compute_gap + static_cast<Cycle>(r.repeat) * hit_cycles;
+      at += r.compute_gap + static_cast<Cycle>(r.repeat) * kL1HitCycles;
     }
     work_.peeked += i - cs.ahead_base + (i < limit ? 1 : 0);
   }
@@ -288,7 +292,6 @@ void Machine::run_pure_hits(CoreId c, Cycle below) {
   const auto& recs = cs.trace.records();
   Tlb& tlb = tlbs_[c];
   L1Cache& l1 = fabric_.l1(c);
-  const Cycle hit_cycles = cfg_.fabric.l1_hit_cycles;
   // replay_record's work for a pure hit, minus the probes look_ahead did:
   // no walk, no classification, no overlap scaling (hits never scale) and
   // no ADR poll (ADR disables lookahead). The hits are counted once for the
@@ -302,7 +305,7 @@ void Machine::run_pure_hits(CoreId c, Cycle below) {
     l1.touch(*h.line);
     if (r.is_write != 0) fabric_.store_pure_hit(*h.line);
     hits += r.repeat;
-    clock += r.compute_gap + static_cast<Cycle>(r.repeat) * hit_cycles;
+    clock += r.compute_gap + static_cast<Cycle>(r.repeat) * kL1HitCycles;
   }
   work_.pure_hits += i - cs.cursor;
   cs.cursor = i;
@@ -317,7 +320,7 @@ void Machine::run_pure_hits(CoreId c, Cycle below) {
     measured_accesses_ += hits;
     if (windows_.size() <= cs.window_id) windows_.resize(cs.window_id + 1);
     windows_[cs.window_id].accesses += hits;
-    windows_[cs.window_id].stall_cycles += hits * hit_cycles;
+    windows_[cs.window_id].stall_cycles += hits * kL1HitCycles;
   }
 }
 
@@ -342,7 +345,7 @@ void Machine::catch_up(CoreId t, LineAddr first, std::uint32_t lines) {
       keys_[t] = key_of(at, t);
       return;
     }
-    at += recs[i].compute_gap + static_cast<Cycle>(recs[i].repeat) * cfg_.fabric.l1_hit_cycles;
+    at += recs[i].compute_gap + static_cast<Cycle>(recs[i].repeat) * kL1HitCycles;
   }
 }
 
@@ -354,8 +357,8 @@ void Machine::step(CoreId c) {
       cs.sleeping = true;  // woken by the next task completion
       return;
     }
-    cs.clock += cfg_.timing.schedule_cycles;
-    schedule_cycles_ += cfg_.timing.schedule_cycles;
+    cs.clock += kScheduleCycles;
+    schedule_cycles_ += kScheduleCycles;
     start_task(c, t);
     return;
   }
@@ -443,15 +446,11 @@ void Machine::replay_task_ffwd(CoreId c) {
         if (d.size == 0) continue;
         for (PageNum vp = page_of(d.addr); vp <= page_of(d.addr + d.size - 1);
              ++vp) {
-          auto it = std::lower_bound(
-              cs.class_memo.begin(), cs.class_memo.end(), vp,
-              [](const std::pair<PageNum, bool>& e, PageNum p) { return e.first < p; });
-          if (it != cs.class_memo.end() && it->first == vp) continue;
-          const auto tr = tlbs_[c].access(vp, mem_.page_table());
-          const VAddr va = vp << kPageShift;
-          const AccessClass ac =
-              cs.classify(c, va, tr.pframe << kPageShift, tr.pframe, cs.clock);
-          cs.class_memo.insert(it, {vp, ac.nc});
+          (void)memo_page_class(cs.class_memo, vp, [&] {
+            const auto tr = tlbs_[c].access(vp, mem_.page_table());
+            return cs.classify(c, vp << kPageShift, tr.pframe << kPageShift, tr.pframe,
+                               cs.clock);
+          });
         }
       }
     }
@@ -481,7 +480,7 @@ void Machine::replay_task_ffwd(CoreId c) {
       const AccessRecord& r = recs[cs.cursor];
       gaps += r.compute_gap;
       n_acc += r.repeat;
-  
+
       const PageNum vpage = page_of(r.vaddr);
       if (mem_.lazy_mapping() && !mem_.page_table().mapped(vpage)) {
         mem_.map_on_touch(vpage, fabric_.topology().socket_of(c));
@@ -489,20 +488,15 @@ void Machine::replay_task_ffwd(CoreId c) {
       const auto tr = tlbs_[c].access(vpage, mem_.page_table());
       const PAddr paddr = (tr.pframe << kPageShift) | page_offset(r.vaddr);
       const LineAddr line = line_of(paddr);
-  
+
       bool nc = false;
       L1Line* resident = fabric_.l1(c).find(line);
       if (cs.classify && resident == nullptr) {
         // Batch classification: each page goes through the ClassifierView
         // once per task; later accesses reuse the memoized verdict.
-        auto it = std::lower_bound(
-            cs.class_memo.begin(), cs.class_memo.end(), vpage,
-            [](const std::pair<PageNum, bool>& e, PageNum p) { return e.first < p; });
-        if (it == cs.class_memo.end() || it->first != vpage) {
-          const AccessClass ac = cs.classify(c, r.vaddr, paddr, tr.pframe, cs.clock);
-          it = cs.class_memo.insert(it, {vpage, ac.nc});
-        }
-        nc = it->second;
+        nc = memo_page_class(cs.class_memo, vpage, [&] {
+          return cs.classify(c, r.vaddr, paddr, tr.pframe, cs.clock);
+        });
       }
       const AccessOutcome out =
           resident != nullptr
@@ -520,13 +514,13 @@ void Machine::replay_task_ffwd(CoreId c) {
   // from the *measured* replay so far — measured windows span the whole
   // machine, so the mean includes queueing/contention, while warmup replay
   // right after a fast-forward stretch is deliberately cold and would bias
-  // it. The prior before any detailed miss is one LLC round (llc_cycles).
+  // it. The prior before any detailed miss is one LLC round (kLlcCycles).
   const double miss_extra =
-      detailed_misses_ == 0 ? static_cast<double>(cfg_.fabric.llc_cycles)
+      detailed_misses_ == 0 ? static_cast<double>(kLlcCycles)
                             : static_cast<double>(detailed_miss_extra_) /
                                   static_cast<double>(detailed_misses_);
   const Cycle stall =
-      n_acc * cfg_.fabric.l1_hit_cycles +
+      n_acc * kL1HitCycles +
       static_cast<Cycle>(std::llround(miss_extra * n_miss));
   cs.clock += gaps + stall;
   cs.busy_cycles += gaps + stall;
@@ -617,7 +611,7 @@ void Machine::replay_record(CoreId c) {
   }
   const auto tr = tlbs_[c].access(vpage, mem_.page_table());
   Cycle extra = 0;
-  if (!tr.hit) extra += cfg_.timing.tlb_walk_cycles;
+  if (!tr.hit) extra += kTlbWalkCycles;
   const PAddr paddr = (tr.pframe << kPageShift) | page_offset(r.vaddr);
   const LineAddr line = line_of(paddr);
 
@@ -654,15 +648,14 @@ void Machine::replay_record(CoreId c) {
           ? fabric_.access_hit(c, *resident, r.is_write != 0, cs.clock + extra)
           : fabric_.access_miss(c, line, r.is_write != 0, nc, cs.clock + extra);
   Cycle stall = out.latency;
-  if (!out.l1_hit && cfg_.timing.miss_overlap > 1.0) {
-    const Cycle l1h = cfg_.fabric.l1_hit_cycles;
-    stall = l1h + static_cast<Cycle>(static_cast<double>(out.latency - l1h) /
-                                     cfg_.timing.miss_overlap);
+  if (!out.l1_hit) {
+    stall = kL1HitCycles + static_cast<Cycle>(static_cast<double>(out.latency - kL1HitCycles) /
+                                              kMissOverlap);
   }
   Cycle total = extra + stall;
   if (r.repeat > 1) {
     fabric_.count_l1_repeat_hits(r.repeat - 1);
-    total += static_cast<Cycle>(r.repeat - 1) * cfg_.fabric.l1_hit_cycles;
+    total += static_cast<Cycle>(r.repeat - 1) * kL1HitCycles;
   }
   cs.clock += total;
   cs.busy_cycles += total;
@@ -675,8 +668,7 @@ void Machine::replay_record(CoreId c) {
       detailed_stall_accesses_ += r.repeat;
       if (!out.l1_hit) {
         ++detailed_misses_;
-        const Cycle l1h = cfg_.fabric.l1_hit_cycles;
-        detailed_miss_extra_ += extra + stall > l1h ? extra + stall - l1h : 0;
+        detailed_miss_extra_ += extra + stall > kL1HitCycles ? extra + stall - kL1HitCycles : 0;
       }
       if (windows_.size() <= cs.window_id) windows_.resize(cs.window_id + 1);
       WindowBucket& w = windows_[cs.window_id];
@@ -730,13 +722,7 @@ void Machine::finish_task(CoreId c) {
     // occupancy at each measured task's end and CI the per-window means.
     if (windows_.size() <= cs.window_id) windows_.resize(cs.window_id + 1);
     WindowBucket& w = windows_[cs.window_id];
-    double occ = 0.0;
-    for (BankId b = 0; b < cfg_.fabric.cores; ++b) {
-      const auto& d = fabric_.dir(b);
-      occ += static_cast<double>(d.valid_entries()) /
-             (static_cast<double>(d.total_sets()) * d.ways());
-    }
-    w.occ_sum += occ / cfg_.fabric.cores;
+    w.occ_sum += dir_occupancy();
     ++w.occ_samples;
   }
 
@@ -755,7 +741,7 @@ void Machine::finish_task(CoreId c) {
   std::uint32_t resolved = 0;
   const TaskId finished = cs.current;
   const bool new_ready = rt_.finish_task(cs.current, c, resolved);
-  const Cycle wake_cost = cfg_.timing.wakeup_per_edge_cycles * resolved;
+  const Cycle wake_cost = kWakeupPerEdgeCycles * resolved;
   cs.clock += wake_cost;
   wakeup_cycles_ += wake_cost;
   cs.current = kNoTask;
@@ -774,6 +760,16 @@ void Machine::finish_task(CoreId c) {
     }
   }
   if (new_ready) wake_sleepers(cs.clock);
+}
+
+double Machine::dir_occupancy() const noexcept {
+  double occ = 0.0;
+  for (BankId b = 0; b < cfg_.fabric.cores; ++b) {
+    const auto& d = fabric_.dir(b);
+    occ += static_cast<double>(d.valid_entries()) /
+           (static_cast<double>(d.total_sets()) * d.ways());
+  }
+  return occ / cfg_.fabric.cores;
 }
 
 void Machine::snapshot_stats(Cycle at, SimStats& s) const {
@@ -808,20 +804,18 @@ void Machine::snapshot_stats(Cycle at, SimStats& s) const {
   s.blocks_touched = fabric_.classifier().touched_blocks();
   s.blocks_noncoherent = fabric_.classifier().noncoherent_blocks();
   s.noncoherent_block_fraction = fabric_.classifier().noncoherent_fraction();
-  double occ_sum = 0.0, active_sum = 0.0;
+  s.avg_dir_occupancy = dir_occupancy();
+  double active_sum = 0.0;
   for (BankId b = 0; b < cfg_.fabric.cores; ++b) {
     const auto& d = fabric_.dir(b);
-    occ_sum += static_cast<double>(d.valid_entries()) /
-               (static_cast<double>(d.total_sets()) * d.ways());
     active_sum += static_cast<double>(d.active_sets()) / d.total_sets();
   }
-  s.avg_dir_occupancy = occ_sum / cfg_.fabric.cores;
   s.avg_dir_active_frac = active_sum / cfg_.fabric.cores;
   // Leakage over the powered entry-cycles accumulated so far.
   double leak = 0.0;
   for (BankId b = 0; b < cfg_.fabric.cores; ++b) {
     const double entry_cycles = fabric_.dir(b).active_integral();
-    leak += fabric_.energy().dir_leakage_pj(1, 1) * entry_cycles;
+    leak += dir_leakage_pj(1, 1) * entry_cycles;
   }
   s.dir_leak_energy_pj = leak;
 }

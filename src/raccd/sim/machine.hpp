@@ -43,6 +43,11 @@ namespace obs {
 class TraceSink;
 }
 
+/// OoO miss overlap: the detailed 4-wide cores of the paper hide part of
+/// each miss behind independent work; the core-perceived stall is
+/// l1_hit + (latency - l1_hit) / kMissOverlap (DESIGN.md substitution #1).
+inline constexpr double kMissOverlap = 3.0;
+
 class Machine {
  public:
   explicit Machine(const SimConfig& cfg);
@@ -214,6 +219,9 @@ class Machine {
   /// occupancy fields *instantaneous* (valid entries vs capacity right now)
   /// rather than the time-averaged integrals collect() reports.
   void snapshot_stats(Cycle at, SimStats& s) const;
+  /// Instantaneous directory occupancy: valid entries over capacity,
+  /// averaged across banks.
+  [[nodiscard]] double dir_occupancy() const noexcept;
 
   SimConfig cfg_;
   CoherenceChecker checker_;

@@ -16,21 +16,21 @@ void print_config(const SimConfig& cfg, std::FILE* out) {
                Topology(f.topo, f.cores).describe().c_str(), to_string(cfg.mode));
   std::fprintf(out, "  L1D: %s, %u-way, %u-cycle | TLB: %u entries\n",
                format_bytes(f.l1.size_bytes).c_str(), f.l1.ways,
-               static_cast<unsigned>(f.l1_hit_cycles), cfg.tlb_entries);
+               static_cast<unsigned>(kL1HitCycles), cfg.tlb_entries);
   std::fprintf(out, "  LLC: %s total (%s/bank), %u-way, %u-cycle\n",
                format_bytes(static_cast<std::uint64_t>(f.llc.lines_per_bank) * f.cores *
                             kLineBytes)
                    .c_str(),
                format_bytes(static_cast<std::uint64_t>(f.llc.lines_per_bank) * kLineBytes)
                    .c_str(),
-               f.llc.ways, static_cast<unsigned>(f.llc_cycles));
+               f.llc.ways, static_cast<unsigned>(kLlcCycles));
   const std::uint64_t dir_total = cfg.total_dir_entries();
   const DirStorage ds = AreaModel::directory_storage(dir_total);
   std::fprintf(out,
                "  directory: 1:%u — %s entries (%u/bank), %u-way, %u-cycle, %.1f KB, "
                "%.2f mm2\n",
                cfg.dir_ratio(), format_count(dir_total).c_str(), f.dir.entries_per_bank,
-               f.dir.ways, static_cast<unsigned>(cfg.fabric.dir_cycles), ds.kilobytes,
+               f.dir.ways, static_cast<unsigned>(kDirCycles), ds.kilobytes,
                ds.area_mm2);
   const ModeTraits& traits = mode_traits(cfg.mode);
   if (traits.print_config_extra != nullptr) traits.print_config_extra(cfg, out);

@@ -2,8 +2,7 @@
 // fully-associative DTLB, 1 cycle).
 //
 // Timing convention: lookups that hit are folded into the L1 access (VIPT
-// style) and cost no extra cycles; misses pay the page-walk latency from
-// SimConfig. The RaCCD `raccd_register` translation loop (paper Fig. 5) and
+// style) and cost no extra cycles; misses pay kTlbWalkCycles. The RaCCD `raccd_register` translation loop (paper Fig. 5) and
 // the PT baseline's classification both run through this structure.
 #pragma once
 
@@ -16,6 +15,9 @@
 #include "raccd/mem/page_table.hpp"
 
 namespace raccd {
+
+/// Page-walk latency of a TLB miss.
+inline constexpr Cycle kTlbWalkCycles = 50;
 
 #define RACCD_TLB_STATS_FIELDS(X)                                          \
   X(std::uint64_t, lookups)                                                \

@@ -93,7 +93,7 @@ std::uint32_t Topology::grid_hops(Coord a, Coord b) const noexcept {
 Route Topology::compute_route(std::uint32_t from, std::uint32_t to) const noexcept {
   const Coord a = coord_of(from);
   const Coord b = coord_of(to);
-  const Cycle per_hop = cfg_.link_cycles + cfg_.router_cycles;
+  constexpr Cycle per_hop = kLinkCycles + kRouterCycles;
   Route r;
   if (a.socket == b.socket) {
     r.link_hops = grid_hops(a, b);
@@ -105,7 +105,7 @@ Route Topology::compute_route(std::uint32_t from, std::uint32_t to) const noexce
   const Coord gateway{0, 0, 0};
   r.link_hops = grid_hops(a, gateway) + grid_hops(gateway, b);
   r.socket_hops = 1;
-  r.latency = static_cast<Cycle>(r.link_hops) * per_hop + cfg_.socket_link_cycles;
+  r.latency = static_cast<Cycle>(r.link_hops) * per_hop + kSocketLinkCycles;
   return r;
 }
 
@@ -143,7 +143,7 @@ std::string Topology::describe() const {
     case TopologyKind::kNuma:
       return strprintf("%u sockets x %u cores (%ux%u mesh/socket, %u-cycle links)",
                        cfg_.sockets, cores_per_socket(), grid_w_, grid_h_,
-                       static_cast<unsigned>(cfg_.socket_link_cycles));
+                       static_cast<unsigned>(kSocketLinkCycles));
   }
   return "?";
 }

@@ -39,20 +39,21 @@ enum class TopologyKind : std::uint8_t { kFlatMesh = 0, kCMesh, kNuma };
   return "?";
 }
 
+inline constexpr Cycle kLinkCycles = 1;
+inline constexpr Cycle kRouterCycles = 1;
+/// Head-flit latency of one inter-socket link traversal (kNuma). Roughly
+/// a QPI/UPI-class hop vs the 2-cycle on-chip hop.
+inline constexpr Cycle kSocketLinkCycles = 40;
+/// Per-flit energy of an inter-socket hop, as a multiple of the on-chip
+/// per-flit-hop energy (off-package SerDes links burn far more).
+inline constexpr double kSocketHopEnergyScale = 8.0;
+
 struct TopologyConfig {
   TopologyKind kind = TopologyKind::kFlatMesh;
   std::uint32_t sockets = 1;       ///< >1 only for kNuma
   std::uint32_t width = 4;         ///< node grid (kFlatMesh only; others derive)
   std::uint32_t height = 4;
   std::uint32_t cluster_size = 4;  ///< kCMesh: cores per router
-  Cycle link_cycles = 1;
-  Cycle router_cycles = 1;
-  /// Head-flit latency of one inter-socket link traversal (kNuma). Roughly
-  /// a QPI/UPI-class hop vs the 2-cycle on-chip hop.
-  Cycle socket_link_cycles = 40;
-  /// Per-flit energy of an inter-socket hop, as a multiple of the on-chip
-  /// per-flit-hop energy (off-package SerDes links burn far more).
-  double socket_hop_energy_scale = 8.0;
   /// Total physical frames, for the per-socket memory ranges behind
   /// socket_of_frame(). 0 (direct fabric construction in tests) falls back
   /// to frame-modulo striping.
@@ -74,7 +75,6 @@ class Topology {
  public:
   Topology(const TopologyConfig& cfg, std::uint32_t cores);
 
-  [[nodiscard]] const TopologyConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::uint32_t cores() const noexcept { return cores_; }
   [[nodiscard]] std::uint32_t sockets() const noexcept { return cfg_.sockets; }
   [[nodiscard]] std::uint32_t cores_per_socket() const noexcept {

@@ -17,8 +17,6 @@ inline FabricConfig small_fabric_config() {
   cfg.llc.ways = 8;
   cfg.dir.entries_per_bank = 64;
   cfg.dir.ways = 8;
-  cfg.energy.dir_ref_entries = 64;
-  cfg.energy.llc_ref_lines = 64;
   return cfg;
 }
 

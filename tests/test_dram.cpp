@@ -32,47 +32,43 @@ constexpr LineAddr kRow1Bank0 = 256;
 
 TEST(DramController, RowEmptyMissPaysActivate) {
   DramController dc(ddr_config());
-  const DramConfig& c = dc.config();
   const DramOutcome out = dc.read(kRow0Bank0, 0);
   EXPECT_EQ(out.row, DramOutcome::Row::kEmpty);
   EXPECT_TRUE(out.activated);
   EXPECT_FALSE(out.precharged);
   EXPECT_EQ(out.wait, 0u);
-  EXPECT_EQ(out.latency, c.t_rcd + c.t_cas + c.t_burst);
+  EXPECT_EQ(out.latency, kDramTRcd + kDramTCas + kDramTBurst);
 }
 
 TEST(DramController, RowHitPaysColumnAccessOnly) {
   DramController dc(ddr_config());
-  const DramConfig& c = dc.config();
   (void)dc.read(kRow0Bank0, 0);
   const DramOutcome out = dc.read(kRow0Bank0Next, 500);  // bank idle, row open
   EXPECT_EQ(out.row, DramOutcome::Row::kHit);
   EXPECT_FALSE(out.activated);
   EXPECT_EQ(out.wait, 0u);
-  EXPECT_EQ(out.latency, c.t_cas + c.t_burst);
+  EXPECT_EQ(out.latency, kDramTCas + kDramTBurst);
 }
 
 TEST(DramController, RowConflictPrechargesFirst) {
   DramController dc(ddr_config());
-  const DramConfig& c = dc.config();
   (void)dc.read(kRow0Bank0, 0);
   // Far enough out that tRAS has elapsed and the bank/bus are idle.
   const DramOutcome out = dc.read(kRow1Bank0, 1000);
   EXPECT_EQ(out.row, DramOutcome::Row::kConflict);
   EXPECT_TRUE(out.activated);
   EXPECT_TRUE(out.precharged);
-  EXPECT_EQ(out.latency, c.t_rp + c.t_rcd + c.t_cas + c.t_burst);
+  EXPECT_EQ(out.latency, kDramTRp + kDramTRcd + kDramTCas + kDramTBurst);
 }
 
 TEST(DramController, ConflictAgainstYoungRowWaitsOutRas) {
   DramController dc(ddr_config());
-  const DramConfig& c = dc.config();
   const DramOutcome first = dc.read(kRow0Bank0, 0);
   // Arrive right when the bank frees: the freshly activated row may not
   // precharge before tRAS, so the conflict waits past plain bank-busy.
   const DramOutcome out = dc.read(kRow1Bank0, first.latency);
   EXPECT_EQ(out.row, DramOutcome::Row::kConflict);
-  EXPECT_GT(out.latency, c.t_rp + c.t_rcd + c.t_cas + c.t_burst);
+  EXPECT_GT(out.latency, kDramTRp + kDramTRcd + kDramTCas + kDramTBurst);
 }
 
 TEST(DramController, ClosedPagePolicyNeverRowHits) {
@@ -173,10 +169,10 @@ TEST(DramSimpleGolden, ColdMissLatencyMatchesTheLegacyFormula) {
   const Mesh& mesh = fabric.mesh();
   const std::uint32_t mc = mesh.nearest_memory_controller(b);
   // Pre-DRAM cold coherent miss: request to home, parallel dir+LLC tag
-  // lookup, flat mem_cycles fetch between the controller legs, data back.
-  const Cycle expected = cfg.l1_hit_cycles + mesh.latency(c, b, MsgClass::kRequest) +
-                         std::max(cfg.dir_cycles, cfg.llc_cycles) +
-                         mesh.latency(b, mc, MsgClass::kRequest) + cfg.mem_cycles +
+  // lookup, flat kMemCycles fetch between the controller legs, data back.
+  const Cycle expected = kL1HitCycles + mesh.latency(c, b, MsgClass::kRequest) +
+                         std::max(kDirCycles, kLlcCycles) +
+                         mesh.latency(b, mc, MsgClass::kRequest) + kMemCycles +
                          mesh.latency(mc, b, MsgClass::kResponseData) +
                          mesh.latency(b, c, MsgClass::kResponseData);
   const AccessOutcome out = fabric.access(c, l, false, false, 0);
@@ -189,7 +185,7 @@ TEST(DramSimpleGolden, ColdMissLatencyMatchesTheLegacyFormula) {
             0u);
   EXPECT_EQ(fabric.stats().dram_queue_wait_cycles, 0u);
   // ...and memory energy stays the flat per-access number.
-  EXPECT_DOUBLE_EQ(fabric.stats().e_mem_pj, fabric.energy().mem_access_pj());
+  EXPECT_DOUBLE_EQ(fabric.stats().e_mem_pj, kMemAccessPj);
 }
 
 TEST(DramSimpleGolden, DefaultSpecKeyAndConfigAreUnchanged) {

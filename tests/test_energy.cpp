@@ -7,29 +7,29 @@ namespace raccd {
 namespace {
 
 TEST(EnergyModel, DirEnergyScalesWithSqrtOfSize) {
-  EnergyModel e;
-  const double full = e.dir_access_pj(32768);
+  const double full = dir_access_pj(32768, 32768);
   EXPECT_DOUBLE_EQ(full, 20.0);  // reference point
-  EXPECT_NEAR(e.dir_access_pj(8192), full / 2.0, 1e-9);   // 4x smaller -> /2
-  EXPECT_NEAR(e.dir_access_pj(512), full / 8.0, 1e-9);    // 64x smaller -> /8
-  EXPECT_DOUBLE_EQ(e.dir_access_pj(0), 0.0);
+  EXPECT_NEAR(dir_access_pj(8192, 32768), full / 2.0, 1e-9);   // 4x smaller -> /2
+  EXPECT_NEAR(dir_access_pj(512, 32768), full / 8.0, 1e-9);    // 64x smaller -> /8
+  EXPECT_DOUBLE_EQ(dir_access_pj(0, 32768), 0.0);
+  // The reference is the machine's LLC bank: a full bank of any size costs
+  // the reference energy.
+  EXPECT_DOUBLE_EQ(dir_access_pj(2048, 2048), 20.0);
 }
 
 TEST(EnergyModel, MonotoneInActiveSize) {
-  EnergyModel e;
   double prev = 0.0;
   for (std::uint32_t n = 64; n <= 32768; n *= 2) {
-    const double cur = e.dir_access_pj(n);
+    const double cur = dir_access_pj(n, 32768);
     EXPECT_GT(cur, prev);
     prev = cur;
   }
 }
 
 TEST(EnergyModel, Leakage) {
-  EnergyModel e;
   // 1 entry for 1e9 cycles at 1 GHz = 1 s -> 132 pW * 1 s = 132 pJ.
-  EXPECT_NEAR(e.dir_leakage_pj(1, 1000000000ull), 132.0, 1e-6);
-  EXPECT_DOUBLE_EQ(e.dir_leakage_pj(0, 12345), 0.0);
+  EXPECT_NEAR(dir_leakage_pj(1, 1000000000ull), 132.0, 1e-6);
+  EXPECT_DOUBLE_EQ(dir_leakage_pj(0, 12345), 0.0);
 }
 
 TEST(AreaModel, EntryStorageMatchesPaper) {

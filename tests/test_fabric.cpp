@@ -203,11 +203,10 @@ TEST_F(FabricTest, LatencyOrdering) {
   const auto hit = load(0, l);
   EXPECT_TRUE(hit.l1_hit);
   EXPECT_GT(miss.latency, hit.latency);
-  EXPECT_EQ(hit.latency, small_fabric_config().l1_hit_cycles);
+  EXPECT_EQ(hit.latency, kL1HitCycles);
   // A miss served from memory pays at least the home-node lookup (directory
   // and LLC probed in parallel) plus the memory access.
-  const auto& cfg = fabric_.config();
-  EXPECT_GE(miss.latency, cfg.mem_cycles + std::max(cfg.llc_cycles, cfg.dir_cycles));
+  EXPECT_GE(miss.latency, kMemCycles + std::max(kLlcCycles, kDirCycles));
 }
 
 TEST_F(FabricTest, BankContentionSerializesConcurrentRequests) {

@@ -93,7 +93,7 @@ TEST_F(FabricNcTest, CoherentToNcTransitionDropsDirEntry) {
 TEST_F(FabricNcTest, FlushWalkCostCoversWholeL1) {
   const auto out = fabric_.flush_nc_lines(0, 0);
   // 1 KB L1 = 16 lines; walk cost = capacity * per-line cycles.
-  EXPECT_EQ(out.cycles, 16u * small_fabric_config().invalidate_walk_cycles_per_line);
+  EXPECT_EQ(out.cycles, 16u * kInvalidateWalkCyclesPerLine);
 }
 
 TEST_F(FabricNcTest, FlushLeavesCoherentLinesAlone) {
@@ -227,8 +227,7 @@ TEST_F(FabricNcTest, NcFlushMatchesFullScanAfterMixedTraffic) {
     const auto out = fabric_.flush_nc_lines(0, t_++);
     ASSERT_EQ(out.lines, want.size()) << "round " << round;
     EXPECT_EQ(out.writebacks, dirty);
-    EXPECT_EQ(out.cycles, fabric_.l1(0).line_capacity() *
-                              small_fabric_config().invalidate_walk_cycles_per_line);
+    EXPECT_EQ(out.cycles, fabric_.l1(0).line_capacity() * kInvalidateWalkCyclesPerLine);
     EXPECT_EQ(fabric_.stats().l1_flush_nc_lines - before.l1_flush_nc_lines, want.size());
     EXPECT_EQ(fabric_.stats().l1_flush_nc_wbs - before.l1_flush_nc_wbs, dirty);
     EXPECT_EQ(fabric_.l1(0).nc_slot_count(), 0u);

@@ -46,7 +46,7 @@ TEST(RunSpec, ConfigReflectsSpec) {
   EXPECT_EQ(cfg.mode, CohMode::kRaCCD);
   EXPECT_EQ(cfg.dir_ratio(), 16u);
   EXPECT_TRUE(cfg.adr.enabled);
-  EXPECT_EQ(cfg.timing.ncrt_lookup_cycles, 5u);
+  EXPECT_EQ(cfg.raccd.ncrt_lookup_cycles, 5u);
 }
 
 TEST(StatsIo, RoundTrip) {

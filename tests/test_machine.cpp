@@ -253,14 +253,14 @@ TEST(Machine, ReleaseGateAdvancesClockAcrossIdleGap) {
   ASSERT_EQ(s.service.requests, 1u);
   // On an otherwise idle machine the only queueing delay is the scheduling
   // cost itself, charged before the task-start instant is recorded.
-  const auto sched = static_cast<double>(m.config().timing.schedule_cycles);
+  const auto sched = static_cast<double>(kScheduleCycles);
   EXPECT_DOUBLE_EQ(s.service.queueing.max, sched);
   EXPECT_DOUBLE_EQ(s.service.queueing.mean, sched);
 }
 
 TEST(Machine, ReleasesFireAtExactInstantsAcrossRepeatedGaps) {
   // A sparse schedule forces the idle-gap path repeatedly; every request
-  // must start exactly schedule_cycles after its own release instant.
+  // must start exactly kScheduleCycles after its own release instant.
   Machine m(test_config(CohMode::kRaCCD));
   constexpr std::uint64_t kRequests = 8;
   const VAddr base = m.mem().alloc(kRequests * kLineBytes, kLineBytes, "slots");
@@ -272,7 +272,7 @@ TEST(Machine, ReleasesFireAtExactInstantsAcrossRepeatedGaps) {
   const SimStats s = m.collect();
   EXPECT_GE(s.cycles, 10000u * kRequests);
   ASSERT_EQ(s.service.requests, kRequests);
-  const auto sched = static_cast<double>(m.config().timing.schedule_cycles);
+  const auto sched = static_cast<double>(kScheduleCycles);
   EXPECT_DOUBLE_EQ(s.service.queueing.max, sched);
   EXPECT_DOUBLE_EQ(s.service.queueing.mean, sched);
   EXPECT_GT(s.service.e2e.max, 0.0);
@@ -300,7 +300,7 @@ TEST(Machine, ReleaseDuringBusyBatchStartsOnAnIdleCore) {
   m.taskwait();
   const SimStats s = m.collect();
   ASSERT_EQ(s.service.requests, 1u);
-  const auto sched = static_cast<double>(m.config().timing.schedule_cycles);
+  const auto sched = static_cast<double>(kScheduleCycles);
   EXPECT_DOUBLE_EQ(s.service.queueing.max, sched);
 }
 

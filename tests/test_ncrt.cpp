@@ -38,8 +38,7 @@ TEST(Ncrt, OverflowRejectsAndCounts) {
 
 class RegisterTest : public ::testing::Test {
  protected:
-  static constexpr Cycle kWalk = 50;
-  RegisterTest() : engine_(1, RaccdEngineConfig{}, kWalk), tlb_(64) {}
+  RegisterTest() : engine_(1, RaccdEngineConfig{}), tlb_(64) {}
   RaccdEngine engine_;
   Tlb tlb_;
   PageTable pt_;
@@ -91,9 +90,8 @@ TEST_F(RegisterTest, LatencyGrowsWithPagesAndWalks) {
   const auto warm = engine_.register_region(0, 0, 16 * kPageBytes, tlb_, pt_);
   EXPECT_EQ(warm.tlb_misses, 0u);
   EXPECT_GT(cold.cycles, warm.cycles);
-  const auto& cfg = engine_.config();
-  EXPECT_EQ(cold.cycles, cfg.instr_overhead_cycles + 16 * cfg.per_page_lookup_cycles +
-                             16 * kWalk + cfg.per_insert_cycles);
+  EXPECT_EQ(cold.cycles, kRaccdInstrOverheadCycles + 16 * kRaccdPerPageLookupCycles +
+                             16 * kTlbWalkCycles + kRaccdPerInsertCycles);
 }
 
 TEST_F(RegisterTest, FragmentedMappingNeedsManyEntriesAndOverflows) {
@@ -101,7 +99,7 @@ TEST_F(RegisterTest, FragmentedMappingNeedsManyEntriesAndOverflows) {
   for (PageNum v = 0; v < 64; ++v) pt_.map(v, v * 2);
   RaccdEngineConfig cfg;
   cfg.ncrt_entries = 8;
-  RaccdEngine small(1, cfg, kWalk);
+  RaccdEngine small(1, cfg);
   const auto out = small.register_region(0, 0, 16 * kPageBytes, tlb_, pt_);
   EXPECT_TRUE(out.overflowed);
   EXPECT_EQ(out.ranges_inserted, 8u);
@@ -113,7 +111,7 @@ TEST_F(RegisterTest, InvalidateClearsNcrt) {
   engine_.register_region(0, 0, 100, tlb_, pt_);
   EXPECT_EQ(engine_.ncrt(0).size(), 1u);
   const Cycle c = engine_.invalidate(0);
-  EXPECT_EQ(c, engine_.config().instr_overhead_cycles);
+  EXPECT_EQ(c, kRaccdInstrOverheadCycles);
   EXPECT_EQ(engine_.ncrt(0).size(), 0u);
 }
 
@@ -124,7 +122,7 @@ TEST_F(RegisterTest, ZeroSizeRegionIsNoop) {
 }
 
 TEST_F(RegisterTest, PerCoreTablesAreIndependent) {
-  RaccdEngine multi(4, RaccdEngineConfig{}, kWalk);
+  RaccdEngine multi(4, RaccdEngineConfig{});
   pt_.map(0, 5);
   multi.register_region(2, 0, 64, tlb_, pt_);
   EXPECT_TRUE(multi.is_noncoherent(2, 5 * kPageBytes));

@@ -6,7 +6,7 @@ namespace raccd {
 namespace {
 
 /// The default machine's NoC: a 4x4 flat mesh, 1-cycle links and routers.
-Mesh default_mesh() { return Mesh{MeshConfig{}, TopologyConfig{}, 16}; }
+Mesh default_mesh() { return Mesh{TopologyConfig{}, 16}; }
 
 TEST(Mesh, HopCountsOn4x4) {
   Mesh mesh = default_mesh();
@@ -74,7 +74,7 @@ TEST(Mesh, NonSquareGeometry) {
   TopologyConfig topo;
   topo.width = 8;
   topo.height = 2;
-  Mesh mesh{MeshConfig{}, topo, 16};
+  Mesh mesh{topo, 16};
   EXPECT_EQ(mesh.node_count(), 16u);
   EXPECT_EQ(mesh.hops(0, 15), 8u);  // (0,0)->(7,1)
 }

@@ -214,10 +214,6 @@ TEST(RunAheadGuards, ObserversOfGlobalOrderDisableIt) {
   SimConfig sampled = base;
   ASSERT_EQ(sampled.apply_sampling("8/2"), "");
   EXPECT_TRUE(Machine(sampled).runs_ahead());
-
-  SimConfig fractional_energy = base;
-  fractional_energy.fabric.energy.l1_access_pj = 10.5;
-  EXPECT_FALSE(Machine(fractional_energy).runs_ahead());
 }
 
 // Remote touches on a line inside the target's window. A holder task keeps

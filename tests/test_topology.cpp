@@ -76,7 +76,6 @@ TEST(Topology, NumaSocketViewsAndRoutes) {
   TopologyConfig tc;
   tc.kind = TopologyKind::kNuma;
   tc.sockets = 2;
-  tc.socket_link_cycles = 40;
   const Topology topo(tc, 16);  // 2 sockets x 8 cores (4x2 mesh each)
   EXPECT_EQ(topo.cores_per_socket(), 8u);
   EXPECT_EQ(topo.socket_of(0), 0u);
