@@ -2,8 +2,9 @@
 // fully-associative DTLB, 1 cycle).
 //
 // Timing convention: lookups that hit are folded into the L1 access (VIPT
-// style) and cost no extra cycles; misses pay kTlbWalkCycles. The RaCCD `raccd_register` translation loop (paper Fig. 5) and
-// the PT baseline's classification both run through this structure.
+// style) and cost no extra cycles; misses pay kTlbWalkCycles. The RaCCD
+// `raccd_register` translation loop (paper Fig. 5) and the PT baseline's
+// classification both run through this structure.
 #pragma once
 
 #include <cstdint>
