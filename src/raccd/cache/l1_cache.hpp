@@ -5,14 +5,15 @@
 // This class models tag state only; protocol decisions (what to do on a hit,
 // miss, eviction, recall) live in coherence::Fabric. Functional data lives in
 // SimMemory; lines carry a version stamp used by the optional coherence
-// checker to verify that every load observes the last store.
+// checker to verify that every load observes the last store. Callers address
+// resident lines by slot (cache/way_array.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "raccd/cache/replacement.hpp"
+#include "raccd/cache/way_array.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
@@ -30,14 +31,17 @@ enum class Mesi : std::uint8_t { kInvalid = 0, kShared, kExclusive, kModified };
   return "?";
 }
 
-struct L1Line {
-  LineAddr line = 0;
-  bool valid = false;
-  bool nc = false;     ///< RaCCD NC bit: line fetched via a non-coherent request
-  bool dirty = false;  ///< meaningful for NC lines and mirrors M for coherent ones
-  Mesi coh = Mesi::kInvalid;  ///< coherent state; kInvalid when nc
-  std::uint64_t version = 0;  ///< checker shadow value (see coherence/checker)
+/// What an L1 way holds besides its tag (which says valid and which line).
+struct L1Payload {
+  std::uint64_t version;  ///< checker shadow value (see coherence/checker)
+  bool nc;     ///< RaCCD NC bit: line fetched via a non-coherent request
+  bool dirty;  ///< meaningful for NC lines and mirrors M for coherent ones
+  Mesi coh;    ///< coherent state; kInvalid when nc
 };
+static_assert(sizeof(L1Payload) <= 16, "L1 payload grew past 16 bytes");
+
+/// An L1 line copied out: a fill's victim, invalidated or dropped contents.
+using L1Line = WayCopy<L1Payload>;
 
 struct L1Geometry {
   std::uint32_t size_bytes = 32 * 1024;
@@ -51,48 +55,49 @@ struct L1Geometry {
 
 class L1Cache {
  public:
+  static constexpr std::uint32_t kNoSlot = WayArray<L1Payload>::kNoSlot;
+
   explicit L1Cache(const L1Geometry& geo);
 
   [[nodiscard]] std::uint32_t set_of(LineAddr line) const noexcept {
     return static_cast<std::uint32_t>(line) & (sets_ - 1);
   }
 
-  /// Find a valid line; nullptr on miss. Does not update replacement state.
-  [[nodiscard]] L1Line* find(LineAddr line) noexcept {
-    const std::size_t base = static_cast<std::size_t>(set_of(line)) * ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (tags_[base + w] == line) return &lines_[base + w];
-    }
-    return nullptr;
+  /// The slot holding `line`, or kNoSlot on a miss. Does not update
+  /// replacement state.
+  [[nodiscard]] std::uint32_t slot_of(LineAddr line) const noexcept {
+    return ways_.find(set_of(line), line);
   }
-  [[nodiscard]] const L1Line* find(LineAddr line) const noexcept {
+  /// The payload of a resident `line`; nullptr on miss.
+  [[nodiscard]] L1Payload* find(LineAddr line) noexcept {
+    const std::uint32_t slot = slot_of(line);
+    return slot != kNoSlot ? &ways_.at(slot) : nullptr;
+  }
+  [[nodiscard]] const L1Payload* find(LineAddr line) const noexcept {
     return const_cast<L1Cache*>(this)->find(line);
   }
+  [[nodiscard]] LineAddr line(std::uint32_t slot) const noexcept { return ways_.line(slot); }
+  [[nodiscard]] bool valid(std::uint32_t slot) const noexcept { return ways_.valid(slot); }
+  [[nodiscard]] L1Payload& at(std::uint32_t slot) noexcept { return ways_.at(slot); }
 
-  /// Update replacement state for an access to this (resident) line.
-  void touch(const L1Line& l) noexcept {
-    const std::uint32_t set = set_of(l.line);
-    const auto slot = static_cast<std::uint32_t>(&l - lines_.data());
-    repl_.touch(set, slot - set * ways_);
-  }
+  /// Update replacement state for an access to the resident line in `slot`.
+  void touch(std::uint32_t slot) noexcept { ways_.touch(slot); }
 
   /// Install `line`; returns the displaced valid victim (valid=false if the
   /// set had a free way). The caller handles victim writeback/notification.
   /// `installed`, when non-null, receives the new line's slot.
   L1Line fill(LineAddr line, bool nc, Mesi coh, bool dirty, std::uint64_t version,
-              L1Line** installed = nullptr);
+              std::uint32_t* installed = nullptr);
 
   /// Invalidate one line if present; returns the old contents (valid=false
   /// if the line was not resident).
   L1Line invalidate(LineAddr line) noexcept;
 
   /// Visit every valid line in set-major order (checker, tests).
-  /// F: void(const L1Line&).
+  /// F: void(LineAddr, const L1Payload&).
   template <typename F>
   void for_each_valid(F&& f) const {
-    for (const auto& l : lines_) {
-      if (l.valid) f(l);
-    }
+    ways_.for_each_valid(f);
   }
 
   /// Invalidate every valid NC line (the raccd_invalidate walk), calling
@@ -106,13 +111,9 @@ class L1Cache {
     std::sort(nc_slots_.begin(), nc_slots_.end());
     for (const std::uint32_t slot : nc_slots_) {
       nc_listed_[slot] = 0;
-      L1Line& l = lines_[slot];
-      if (!l.valid || !l.nc) continue;  // evicted or invalidated since its fill
-      const L1Line old = l;
-      l = L1Line{};
-      tags_[slot] = kNoTag;
-      --valid_count_;
-      f(old);
+      // Evicted or refilled coherent since its NC fill: nothing to drop.
+      if (!ways_.valid(slot) || !ways_.at(slot).nc) continue;
+      f(ways_.take(slot));
     }
     nc_slots_.clear();
   }
@@ -121,31 +122,13 @@ class L1Cache {
   [[nodiscard]] std::size_t nc_slot_count() const noexcept { return nc_slots_.size(); }
 
   [[nodiscard]] std::uint32_t sets() const noexcept { return sets_; }
-  [[nodiscard]] std::uint32_t ways() const noexcept { return ways_; }
-  [[nodiscard]] std::uint32_t line_capacity() const noexcept { return sets_ * ways_; }
-  [[nodiscard]] std::uint32_t valid_lines() const noexcept { return valid_count_; }
+  [[nodiscard]] std::uint32_t ways() const noexcept { return ways_.ways(); }
+  [[nodiscard]] std::uint32_t line_capacity() const noexcept { return sets_ * ways(); }
+  [[nodiscard]] std::uint32_t valid_lines() const noexcept { return ways_.valid_count(); }
 
  private:
-  /// Sentinel in the SoA tag array marking an invalid way. Unreachable as a
-  /// real tag: line numbers are physical addresses >> 6, far below 2^64-1.
-  static constexpr LineAddr kNoTag = ~LineAddr{0};
-
-  [[nodiscard]] L1Line& at(std::uint32_t set, std::uint32_t way) noexcept {
-    return lines_[static_cast<std::size_t>(set) * ways_ + way];
-  }
-  void set_tag(std::uint32_t set, std::uint32_t way, LineAddr tag) noexcept {
-    tags_[static_cast<std::size_t>(set) * ways_ + way] = tag;
-  }
-
   std::uint32_t sets_;
-  std::uint32_t ways_;
-  std::vector<L1Line> lines_;
-  /// SoA mirror of (valid, line): find() scans this contiguous vector — the
-  /// whole set's tags share one host cache line — instead of striding the
-  /// 32-byte L1Line structs. kNoTag encodes invalid, so one compare per way.
-  std::vector<LineAddr> tags_;
-  ReplacementState repl_;
-  std::uint32_t valid_count_ = 0;
+  WayArray<L1Payload> ways_;
   /// Slots that received an NC fill since the last drop_nc_lines(), each
   /// listed once (nc_listed_ is the per-slot dedup bit). A listed slot may
   /// have been evicted or refilled coherent since; the drop re-checks it.

@@ -8,20 +8,22 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "raccd/cache/replacement.hpp"
+#include "raccd/cache/way_array.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
 
-struct LlcLine {
-  LineAddr line = 0;
-  bool valid = false;
-  bool dirty = false;
-  bool nc = false;
-  std::uint64_t version = 0;  ///< checker shadow value
+/// What an LLC way holds besides its tag (which says valid and which line).
+struct LlcPayload {
+  std::uint64_t version;  ///< checker shadow value
+  bool dirty;
+  bool nc;
 };
+static_assert(sizeof(LlcPayload) <= 16, "LLC payload grew past 16 bytes");
+
+/// An LLC line copied out: a fill's victim or invalidated contents.
+using LlcLine = WayCopy<LlcPayload>;
 
 struct LlcGeometry {
   std::uint32_t lines_per_bank = 32768;  ///< paper: 2 MB / 64 B
@@ -33,63 +35,54 @@ struct LlcGeometry {
 
 class LlcBank {
  public:
+  static constexpr std::uint32_t kNoSlot = WayArray<LlcPayload>::kNoSlot;
+
   explicit LlcBank(const LlcGeometry& geo);
 
   [[nodiscard]] std::uint32_t set_of(LineAddr line) const noexcept {
     return static_cast<std::uint32_t>(line >> bank_bits_) & (sets_ - 1);
   }
 
-  [[nodiscard]] LlcLine* find(LineAddr line) noexcept;
-  [[nodiscard]] const LlcLine* find(LineAddr line) const noexcept {
+  /// The slot holding `line`, or kNoSlot on a miss.
+  [[nodiscard]] std::uint32_t slot_of(LineAddr line) const noexcept;
+  /// The payload of a resident `line`; nullptr on miss.
+  [[nodiscard]] LlcPayload* find(LineAddr line) noexcept {
+    const std::uint32_t slot = slot_of(line);
+    return slot != kNoSlot ? &ways_.at(slot) : nullptr;
+  }
+  [[nodiscard]] const LlcPayload* find(LineAddr line) const noexcept {
     return const_cast<LlcBank*>(this)->find(line);
   }
-  void touch(const LlcLine& l) noexcept;
+  [[nodiscard]] LlcPayload& at(std::uint32_t slot) noexcept { return ways_.at(slot); }
+  void touch(std::uint32_t slot) noexcept { ways_.touch(slot); }
 
   /// Pick the way a fill of `line` would use. If the chosen way holds a valid
   /// line, that victim must be evicted by the caller *before* calling fill
   /// (the caller may need directory recalls, which can themselves invalidate
   /// LLC lines). Returns the victim line by value (valid=false if free way).
-  [[nodiscard]] LlcLine peek_victim(LineAddr line) noexcept;
+  [[nodiscard]] LlcLine peek_victim(LineAddr line) const noexcept;
 
   /// Install a line. The target way must be free (caller evicted the victim).
-  LlcLine& fill(LineAddr line, bool nc, bool dirty, std::uint64_t version);
+  LlcPayload& fill(LineAddr line, bool nc, bool dirty, std::uint64_t version);
 
   /// Invalidate one line if present; returns old contents (valid=false if absent).
   LlcLine invalidate(LineAddr line) noexcept;
 
-  /// Visit every valid line (checker scans, tests).
+  /// Visit every valid line (tests). F: void(LineAddr, const LlcPayload&).
   template <typename F>
   void for_each_valid(F&& f) const {
-    for (const auto& l : lines_) {
-      if (l.valid) f(l);
-    }
+    ways_.for_each_valid(f);
   }
 
   [[nodiscard]] std::uint32_t sets() const noexcept { return sets_; }
-  [[nodiscard]] std::uint32_t ways() const noexcept { return ways_; }
-  [[nodiscard]] std::uint32_t valid_lines() const noexcept { return valid_count_; }
-  [[nodiscard]] std::uint32_t line_capacity() const noexcept { return sets_ * ways_; }
+  [[nodiscard]] std::uint32_t ways() const noexcept { return ways_.ways(); }
+  [[nodiscard]] std::uint32_t valid_lines() const noexcept { return ways_.valid_count(); }
+  [[nodiscard]] std::uint32_t line_capacity() const noexcept { return sets_ * ways(); }
 
  private:
-  /// Sentinel in the SoA tag array marking an invalid way (real line numbers
-  /// are paddr >> 6, far below 2^64-1).
-  static constexpr LineAddr kNoTag = ~LineAddr{0};
-
-  [[nodiscard]] LlcLine& at(std::uint32_t set, std::uint32_t way) noexcept {
-    return lines_[static_cast<std::size_t>(set) * ways_ + way];
-  }
-  void set_tag(std::uint32_t set, std::uint32_t way, LineAddr tag) noexcept {
-    tags_[static_cast<std::size_t>(set) * ways_ + way] = tag;
-  }
-
   std::uint32_t sets_;
-  std::uint32_t ways_;
   std::uint32_t bank_bits_;
-  std::vector<LlcLine> lines_;
-  /// SoA mirror of (valid, line); find() scans this contiguous vector.
-  std::vector<LineAddr> tags_;
-  ReplacementState repl_;
-  std::uint32_t valid_count_ = 0;
+  WayArray<LlcPayload> ways_;
 };
 
 }  // namespace raccd

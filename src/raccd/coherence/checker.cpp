@@ -43,8 +43,8 @@ std::vector<std::string> CoherenceChecker::scan(const Fabric& fabric) {
   };
   std::unordered_map<LineAddr, std::vector<Holder>> holders;
   for (CoreId c = 0; c < cfg.cores; ++c) {
-    fabric.l1(c).for_each_valid([&](const L1Line& l) {
-      holders[l.line].push_back(Holder{c, l.coh, l.nc, l.dirty});
+    fabric.l1(c).for_each_valid([&](LineAddr line, const L1Payload& l) {
+      holders[line].push_back(Holder{c, l.coh, l.nc, l.dirty});
     });
   }
 
@@ -77,33 +77,33 @@ std::vector<std::string> CoherenceChecker::scan(const Fabric& fabric) {
     const auto& lbank = fabric.llc(b);
 
     // Directory -> LLC inclusivity; directory never tracks NC LLC lines.
-    dbank.for_each_valid([&](const DirEntry& e) {
-      const LlcLine* ll = lbank.find(e.line);
+    dbank.for_each_valid([&](LineAddr line, const DirPayload& e) {
+      const LlcPayload* ll = lbank.find(line);
       if (ll == nullptr) {
         out.push_back(strprintf("dir bank %u: entry for line %llu without LLC line", b,
-                                static_cast<unsigned long long>(e.line)));
+                                static_cast<unsigned long long>(line)));
       } else if (ll->nc) {
         out.push_back(strprintf("dir bank %u: entry tracks NC LLC line %llu", b,
-                                static_cast<unsigned long long>(e.line)));
+                                static_cast<unsigned long long>(line)));
       }
       // Every actual coherent holder must appear in the sharer vector (the
       // converse is allowed: silent clean evictions leave stale sharers).
-      if (const auto it = holders.find(e.line); it != holders.end()) {
+      if (const auto it = holders.find(line); it != holders.end()) {
         for (const Holder& h : it->second) {
           if (h.nc) {
             out.push_back(strprintf("line %llu: NC L1 copy while directory-tracked",
-                                    static_cast<unsigned long long>(e.line)));
+                                    static_cast<unsigned long long>(line)));
             continue;
           }
           if ((e.sharers & (1ULL << h.core)) == 0) {
             out.push_back(
                 strprintf("line %llu: core %u holds coherent copy but is not a sharer",
-                          static_cast<unsigned long long>(e.line), h.core));
+                          static_cast<unsigned long long>(line), h.core));
           }
           if ((h.state == Mesi::kExclusive || h.state == Mesi::kModified) &&
               e.excl != h.core) {
             out.push_back(strprintf("line %llu: E/M holder %u is not the directory excl",
-                                    static_cast<unsigned long long>(e.line), h.core));
+                                    static_cast<unsigned long long>(line), h.core));
           }
         }
       }

@@ -19,17 +19,21 @@
 #include <cstdint>
 #include <vector>
 
-#include "raccd/cache/replacement.hpp"
+#include "raccd/cache/way_array.hpp"
 #include "raccd/common/types.hpp"
 
 namespace raccd {
 
-struct DirEntry {
-  LineAddr line = 0;
-  bool valid = false;
-  std::uint64_t sharers = 0;   ///< bitmask of cores that may hold the line
-  CoreId excl = kNoCore;       ///< core holding E/M, or kNoCore
+/// What a directory way holds besides its tag (which says valid and which
+/// line).
+struct DirPayload {
+  std::uint64_t sharers;  ///< bitmask of cores that may hold the line
+  CoreId excl;            ///< core holding E/M, or kNoCore
 };
+static_assert(sizeof(DirPayload) <= 16, "directory payload grew past 16 bytes");
+
+/// A directory entry copied out: a fill's victim or a resize's displaced entry.
+using DirEntry = WayCopy<DirPayload>;
 
 struct DirGeometry {
   std::uint32_t entries_per_bank = 32768;
@@ -39,23 +43,36 @@ struct DirGeometry {
 
 class DirectoryBank {
  public:
+  static constexpr std::uint32_t kNoSlot = WayArray<DirPayload>::kNoSlot;
+
   explicit DirectoryBank(const DirGeometry& geo);
 
   [[nodiscard]] std::uint32_t set_of(LineAddr line) const noexcept {
     return static_cast<std::uint32_t>(line >> bank_bits_) & (active_sets_ - 1);
   }
 
-  [[nodiscard]] DirEntry* find(LineAddr line) noexcept;
-  [[nodiscard]] const DirEntry* find(LineAddr line) const noexcept;
-  void touch(const DirEntry& e) noexcept;
+  /// The slot holding `line`'s entry, or kNoSlot.
+  [[nodiscard]] std::uint32_t slot_of(LineAddr line) const noexcept;
+  /// The payload of `line`'s entry; nullptr if untracked.
+  [[nodiscard]] DirPayload* find(LineAddr line) noexcept {
+    const std::uint32_t slot = slot_of(line);
+    return slot != kNoSlot ? &ways_.at(slot) : nullptr;
+  }
+  [[nodiscard]] const DirPayload* find(LineAddr line) const noexcept {
+    return const_cast<DirectoryBank*>(this)->find(line);
+  }
+  [[nodiscard]] DirPayload& at(std::uint32_t slot) noexcept { return ways_.at(slot); }
+  void touch(std::uint32_t slot) noexcept { ways_.touch(slot); }
 
   /// True if a fill of `line` would not displace a valid entry.
-  [[nodiscard]] bool has_free_way(LineAddr line) const noexcept;
+  [[nodiscard]] bool has_free_way(LineAddr line) const noexcept {
+    return ways_.free_slot(set_of(line)) != kNoSlot;
+  }
   /// The valid entry a fill of `line` would displace ({} if a way is free).
-  [[nodiscard]] DirEntry peek_victim(LineAddr line) noexcept;
-  /// Allocate an entry for `line`; a way must be free (caller evicted the
-  /// victim via the recall procedure first).
-  DirEntry& alloc(LineAddr line);
+  [[nodiscard]] DirEntry peek_victim(LineAddr line) const noexcept;
+  /// Allocate an entry for `line` with no sharers and no owner; a way must
+  /// be free (caller evicted the victim via the recall procedure first).
+  DirPayload& alloc(LineAddr line);
   /// Remove the entry for `line` if present; returns true if it existed.
   bool remove(LineAddr line) noexcept;
 
@@ -67,18 +84,17 @@ class DirectoryBank {
   std::uint32_t resize(std::uint32_t new_active_sets, std::vector<DirEntry>& displaced);
 
   /// Visit every valid entry (checker scans, tests).
+  /// F: void(LineAddr, const DirPayload&).
   template <typename F>
   void for_each_valid(F&& f) const {
-    for (const auto& e : entries_) {
-      if (e.valid) f(e);
-    }
+    ways_.for_each_valid(f);
   }
 
   [[nodiscard]] std::uint32_t total_sets() const noexcept { return total_sets_; }
   [[nodiscard]] std::uint32_t active_sets() const noexcept { return active_sets_; }
-  [[nodiscard]] std::uint32_t ways() const noexcept { return ways_; }
-  [[nodiscard]] std::uint32_t active_entries() const noexcept { return active_sets_ * ways_; }
-  [[nodiscard]] std::uint32_t valid_entries() const noexcept { return valid_count_; }
+  [[nodiscard]] std::uint32_t ways() const noexcept { return ways_.ways(); }
+  [[nodiscard]] std::uint32_t active_entries() const noexcept { return active_sets_ * ways(); }
+  [[nodiscard]] std::uint32_t valid_entries() const noexcept { return ways_.valid_count(); }
 
   // -- Time-weighted occupancy (paper Fig. 8) ----------------------------------
   /// Must be called with the current time *before* any occupancy change and
@@ -90,26 +106,10 @@ class DirectoryBank {
   [[nodiscard]] double active_integral() const noexcept { return active_integral_; }
 
  private:
-  /// Sentinel in the SoA tag array marking an invalid entry (real line
-  /// numbers are paddr >> 6, far below 2^64-1).
-  static constexpr LineAddr kNoTag = ~LineAddr{0};
-
-  [[nodiscard]] DirEntry& at(std::uint32_t set, std::uint32_t way) noexcept {
-    return entries_[static_cast<std::size_t>(set) * ways_ + way];
-  }
-  void set_tag(std::uint32_t set, std::uint32_t way, LineAddr tag) noexcept {
-    tags_[static_cast<std::size_t>(set) * ways_ + way] = tag;
-  }
-
   std::uint32_t total_sets_;
   std::uint32_t active_sets_;
-  std::uint32_t ways_;
   std::uint32_t bank_bits_;
-  std::vector<DirEntry> entries_;
-  /// SoA mirror of (valid, line); find() scans this contiguous vector.
-  std::vector<LineAddr> tags_;
-  ReplacementState repl_;
-  std::uint32_t valid_count_ = 0;
+  WayArray<DirPayload> ways_;
   Cycle last_tick_ = 0;
   double occupancy_integral_ = 0.0;
   double active_integral_ = 0.0;

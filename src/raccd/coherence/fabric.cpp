@@ -128,7 +128,7 @@ std::uint64_t Fabric::mem_version(LineAddr line) const noexcept {
   return mem_versions_.get(line);
 }
 
-void Fabric::store_version_bump(L1Line& l, LineAddr line) {
+void Fabric::store_version_bump(L1Payload& l, LineAddr line) {
   l.version = ++version_counter_;
   l.dirty = true;
   if (checker_ != nullptr) checker_->on_store(line, l.version);
@@ -138,7 +138,8 @@ void Fabric::store_version_bump(L1Line& l, LineAddr line) {
 // Recall / eviction machinery
 // ---------------------------------------------------------------------------
 
-Cycle Fabric::recall_sharers(BankId b, DirEntry& e, CoreId skip, Cycle now) {
+Cycle Fabric::recall_sharers(BankId b, LineAddr line, DirPayload& e, CoreId skip,
+                             Cycle now) {
   (void)now;
   Cycle slowest = 0;
   std::uint64_t remaining = e.sharers;
@@ -148,13 +149,13 @@ Cycle Fabric::recall_sharers(BankId b, DirEntry& e, CoreId skip, Cycle now) {
     if (s == skip) continue;
     Cycle leg = msg(b, s, MsgClass::kInval);
     ++st().dir_recall_msgs;
-    before_remote_touch(s, e.line, 1);
-    const L1Line old = l1_[s]->invalidate(e.line);
+    before_remote_touch(s, line, 1);
+    const L1Line old = l1_[s]->invalidate(line);
     if (old.valid) {
       ++st().l1_invals_recall;
       if (old.dirty) {
         // Owner held M: pull the data back into the (still resident) LLC line.
-        LlcLine* ll = llc_[b]->find(e.line);
+        LlcPayload* ll = llc_[b]->find(line);
         RACCD_ASSERT(ll != nullptr, "dirty recall without resident LLC line");
         ll->dirty = true;
         ll->version = old.version;
@@ -188,12 +189,11 @@ Cycle Fabric::drop_llc_line(BankId b, LineAddr line, bool due_to_dir, Cycle now)
   return lat;
 }
 
-Cycle Fabric::evict_dir_entry(BankId b, const DirEntry& victim, Cycle now) {
-  DirEntry copy = victim;
-  Cycle lat = recall_sharers(b, copy, kNoCore, now);
-  lat += drop_llc_line(b, victim.line, /*due_to_dir=*/true, now + lat);
+Cycle Fabric::evict_dir_entry(BankId b, LineAddr line, DirPayload victim, Cycle now) {
+  Cycle lat = recall_sharers(b, line, victim, kNoCore, now);
+  lat += drop_llc_line(b, line, /*due_to_dir=*/true, now + lat);
   mark_dir_dirty(b, now);
-  const bool removed = dir_[b]->remove(victim.line);
+  const bool removed = dir_[b]->remove(line);
   RACCD_ASSERT(removed, "directory victim vanished during recall");
   count_dir_access(b);
   ++st().dir_evictions;
@@ -206,12 +206,12 @@ Cycle Fabric::llc_fill(BankId b, LineAddr line, bool nc, bool dirty, std::uint64
   const LlcLine victim = llc_[b]->peek_victim(line);
   if (victim.valid) {
     ++st().llc_evictions;
-    const DirEntry* ve = victim.nc ? nullptr : dir_[b]->find(victim.line);
+    const DirPayload* ve = victim.nc ? nullptr : dir_[b]->find(victim.line);
     if (ve != nullptr) {
       // Tracked coherent victim: recall the L1 copies and free its entry
       // (LLC capacity pressure shrinking directory occupancy, paper Fig. 8).
       count_dir_access(b);
-      lat += evict_dir_entry(b, *ve, now);
+      lat += evict_dir_entry(b, victim.line, *ve, now);
     } else {
       // NC line or untracked coherent line: plain eviction.
       lat += drop_llc_line(b, victim.line, /*due_to_dir=*/false, now + lat);
@@ -348,7 +348,7 @@ void Fabric::handle_l1_victim(CoreId c, const L1Line& victim, Cycle now) {
     // to memory without re-allocating (paper §III-C.3).
     (void)msg(c, b, MsgClass::kWriteback);
     ++st().l1_wb_nc;
-    LlcLine* ll = llc_[b]->find(victim.line);
+    LlcPayload* ll = llc_[b]->find(victim.line);
     count_llc_touch();
     if (ll != nullptr) {
       ll->dirty = true;
@@ -361,13 +361,13 @@ void Fabric::handle_l1_victim(CoreId c, const L1Line& victim, Cycle now) {
     // Coherent M writeback: update LLC data and directory sharing state.
     (void)msg(c, b, MsgClass::kWriteback);
     ++st().l1_wb_coh;
-    DirEntry* e = dir_[b]->find(victim.line);
+    DirPayload* e = dir_[b]->find(victim.line);
     count_dir_access(b);
     ++st().dir_wb_updates;
     RACCD_ASSERT(e != nullptr, "M writeback without directory entry");
     if (e->excl == c) e->excl = kNoCore;
     e->sharers &= ~bit(c);
-    LlcLine* ll = llc_[b]->find(victim.line);
+    LlcPayload* ll = llc_[b]->find(victim.line);
     RACCD_ASSERT(ll != nullptr, "M writeback without LLC line");
     count_llc_touch();
     ll->dirty = true;
@@ -396,23 +396,24 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
   count_llc_touch();
   ++st().llc_lookups;
 
-  DirEntry* e = dir_[b]->find(line);
-  if (e != nullptr) {
+  const std::uint32_t es = dir_[b]->slot_of(line);
+  if (es != DirectoryBank::kNoSlot) {
     ++st().dir_hits;
-    dir_[b]->touch(*e);
-    if (e->excl != kNoCore) {
+    dir_[b]->touch(es);
+    DirPayload& e = dir_[b]->at(es);
+    if (e.excl != kNoCore) {
       // Probe the E/M holder (it may have silently evicted an E line).
-      const CoreId o = e->excl;
+      const CoreId o = e.excl;
       ++st().owner_probes;
       Cycle leg = msg(b, o, MsgClass::kInval);
       before_remote_touch(o, line, 1);
-      L1Line* ol = l1_[o]->find(line);
+      L1Payload* ol = l1_[o]->find(line);
       if (ol != nullptr) {
         if (is_write) {
           const L1Line old = l1_[o]->invalidate(line);
           ++st().l1_invals_sharer;
           if (old.dirty) {
-            LlcLine* ll = llc_[b]->find(line);
+            LlcPayload* ll = llc_[b]->find(line);
             RACCD_ASSERT(ll != nullptr, "owner WB without LLC line");
             ll->dirty = true;
             ll->version = old.version;
@@ -422,11 +423,11 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
           } else {
             leg += msg(o, b, MsgClass::kAck);
           }
-          e->sharers &= ~bit(o);
+          e.sharers &= ~bit(o);
         } else {
           // Downgrade to S; dirty data returns to the LLC.
           if (ol->dirty) {
-            LlcLine* ll = llc_[b]->find(line);
+            LlcPayload* ll = llc_[b]->find(line);
             RACCD_ASSERT(ll != nullptr, "owner WB without LLC line");
             ll->dirty = true;
             ll->version = ol->version;
@@ -441,15 +442,15 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
         }
       } else {
         leg += msg(o, b, MsgClass::kAck);  // silent eviction: stale owner
-        e->sharers &= ~bit(o);
+        e.sharers &= ~bit(o);
       }
-      e->excl = kNoCore;
+      e.excl = kNoCore;
       r.latency += leg;
     }
-    if (is_write && (e->sharers & ~bit(c)) != 0) {
+    if (is_write && (e.sharers & ~bit(c)) != 0) {
       // Invalidate remaining sharers in parallel; pay the slowest leg.
       Cycle slowest = 0;
-      std::uint64_t remaining = e->sharers & ~bit(c);
+      std::uint64_t remaining = e.sharers & ~bit(c);
       while (remaining != 0) {
         const CoreId s = static_cast<CoreId>(std::countr_zero(remaining));
         remaining &= remaining - 1;
@@ -467,20 +468,20 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
     }
     // Serve data from the LLC (a tracked line is always LLC-resident: LLC
     // evictions recall the entry and directory evictions invalidate the line).
-    LlcLine* ll = llc_[b]->find(line);
-    RACCD_ASSERT(ll != nullptr, "directory entry without LLC line");
+    const std::uint32_t ls = llc_[b]->slot_of(line);
+    RACCD_ASSERT(ls != LlcBank::kNoSlot, "directory entry without LLC line");
     ++st().llc_hits;
-    llc_[b]->touch(*ll);
+    llc_[b]->touch(ls);
     r.llc_hit = true;
-    r.version = ll->version;
+    r.version = llc_[b]->at(ls).version;
     if (is_write) {
-      e->sharers = bit(c);
-      e->excl = c;
+      e.sharers = bit(c);
+      e.excl = c;
       r.grant = Mesi::kModified;
     } else {
-      e->sharers |= bit(c);
-      if (e->sharers == bit(c)) {
-        e->excl = c;
+      e.sharers |= bit(c);
+      if (e.sharers == bit(c)) {
+        e.excl = c;
         r.grant = Mesi::kExclusive;
       } else {
         r.grant = Mesi::kShared;
@@ -495,28 +496,29 @@ Fabric::MissResult Fabric::coherent_miss(CoreId c, LineAddr line, bool is_write,
     ++st().dir_misses;
     if (!dir_[b]->has_free_way(line)) {
       const DirEntry victim = dir_[b]->peek_victim(line);
-      r.latency += evict_dir_entry(b, victim, now + r.latency);
+      r.latency += evict_dir_entry(b, victim.line, victim, now + r.latency);
     }
     mark_dir_dirty(b, now + r.latency);
-    DirEntry& ne = dir_[b]->alloc(line);
+    DirPayload& ne = dir_[b]->alloc(line);
     count_dir_access(b);
     ++st().dir_allocs;
 
-    LlcLine* ll = llc_[b]->find(line);
-    if (ll != nullptr) {
+    const std::uint32_t ls = llc_[b]->slot_of(line);
+    if (ls != LlcBank::kNoSlot) {
+      LlcPayload& ll = llc_[b]->at(ls);
       ++st().llc_hits;
-      if (ll->nc) {
+      if (ll.nc) {
         // NC -> coherent transition (paper §III-E): start tracking.
-        ll->nc = false;
+        ll.nc = false;
         ++st().dir_nc_to_coh;
         if (obs_ != nullptr && obs_->wants(obs::TraceCat::kCoh)) {
           obs_->instant(obs::TraceCat::kCoh, obs::kPidCoherence, b,
                         obs_ids_.reactivate, now + r.latency, obs_ids_.line, line);
         }
       }
-      llc_[b]->touch(*ll);
+      llc_[b]->touch(ls);
       r.llc_hit = true;
-      r.version = ll->version;
+      r.version = ll.version;
     } else {
       ++st().llc_misses;
       r.latency += mem_fetch(b, line, r.version, now + r.latency);
@@ -540,33 +542,34 @@ Fabric::MissResult Fabric::nc_miss(CoreId c, LineAddr line, bool is_write, Cycle
   r.latency += bank_service(llc_busy_[b], now + r.latency, kLlcCycles);
   ++st().llc_lookups;
   ++st().llc_nc_lookups;
-  LlcLine* ll = llc_[b]->find(line);
+  const std::uint32_t ls = llc_[b]->slot_of(line);
   count_llc_touch();
-  if (ll != nullptr) {
+  if (ls != LlcBank::kNoSlot) {
+    LlcPayload& ll = llc_[b]->at(ls);
     ++st().llc_hits;
     ++st().llc_nc_hits;
-    if (!ll->nc) {
+    if (!ll.nc) {
       // Coherent -> NC transition (paper §III-E): if the line is tracked,
       // pull any dirty owner data into the LLC and deallocate the entry;
       // untracked lines simply re-tag without touching the directory.
-      DirEntry* e = dir_[b]->find(line);
+      DirPayload* e = dir_[b]->find(line);
       if (e != nullptr) {
         count_dir_access(b);
-        r.latency += recall_sharers(b, *e, kNoCore, now + r.latency);
+        r.latency += recall_sharers(b, line, *e, kNoCore, now + r.latency);
         mark_dir_dirty(b, now + r.latency);
         dir_[b]->remove(line);
         count_dir_access(b);
         ++st().dir_coh_to_nc;
       }
-      ll->nc = true;
+      ll.nc = true;
       if (obs_ != nullptr && obs_->wants(obs::TraceCat::kCoh)) {
         obs_->instant(obs::TraceCat::kCoh, obs::kPidCoherence, b,
                       obs_ids_.deactivate, now + r.latency, obs_ids_.line, line);
       }
     }
-    llc_[b]->touch(*ll);
+    llc_[b]->touch(ls);
     r.llc_hit = true;
-    r.version = ll->version;
+    r.version = ll.version;
   } else {
     ++st().llc_misses;
     r.latency += mem_fetch(b, line, r.version, now + r.latency);
@@ -586,14 +589,15 @@ Cycle Fabric::upgrade_to_m(CoreId c, LineAddr line, Cycle now) {
   count_dir_access(b);
   ++st().dir_lookups;
   ++st().upgrades;
-  DirEntry* e = dir_[b]->find(line);
-  RACCD_ASSERT(e != nullptr, "upgrade from S without directory entry");
+  const std::uint32_t es = dir_[b]->slot_of(line);
+  RACCD_ASSERT(es != DirectoryBank::kNoSlot, "upgrade from S without directory entry");
   ++st().dir_hits;
-  dir_[b]->touch(*e);
-  RACCD_ASSERT(e->excl == kNoCore || e->excl == c,
+  dir_[b]->touch(es);
+  DirPayload& e = dir_[b]->at(es);
+  RACCD_ASSERT(e.excl == kNoCore || e.excl == c,
                "S copy coexisting with a foreign exclusive owner");
   Cycle slowest = 0;
-  std::uint64_t remaining = e->sharers & ~bit(c);
+  std::uint64_t remaining = e.sharers & ~bit(c);
   while (remaining != 0) {
     const CoreId s = static_cast<CoreId>(std::countr_zero(remaining));
     remaining &= remaining - 1;
@@ -608,8 +612,8 @@ Cycle Fabric::upgrade_to_m(CoreId c, LineAddr line, Cycle now) {
     slowest = std::max(slowest, leg);
   }
   lat += slowest;
-  e->sharers = bit(c);
-  e->excl = c;
+  e.sharers = bit(c);
+  e.excl = c;
   lat += msg(b, c, MsgClass::kAck);
   return lat;
 }
@@ -618,11 +622,14 @@ Cycle Fabric::upgrade_to_m(CoreId c, LineAddr line, Cycle now) {
 // Public operations
 // ---------------------------------------------------------------------------
 
-AccessOutcome Fabric::access_hit(CoreId c, L1Line& hit, bool is_write, Cycle now) {
-  RACCD_DEBUG_ASSERT(l1_[c]->find(hit.line) == &hit, "hit on a line not resident in c's L1");
+AccessOutcome Fabric::access_hit(CoreId c, std::uint32_t slot, bool is_write, Cycle now) {
+  L1Cache& l1 = *l1_[c];
+  RACCD_DEBUG_ASSERT(slot < l1.line_capacity() && l1.valid(slot),
+                     "hit on a line not resident in c's L1");
   count_l1_repeat_hits(1);
-  l1_[c]->touch(hit);
-  const LineAddr line = hit.line;
+  l1.touch(slot);
+  L1Payload& hit = l1.at(slot);
+  const LineAddr line = l1.line(slot);
   Cycle lat = kL1HitCycles;
   if (!is_write) {
     if (checker_ != nullptr) checker_->on_load(line, hit.version);
@@ -634,7 +641,7 @@ AccessOutcome Fabric::access_hit(CoreId c, L1Line& hit, bool is_write, Cycle now
     store_version_bump(hit, line);
   } else {
     RACCD_ASSERT(hit.nc || hit.coh != Mesi::kInvalid, "valid coherent line in I state");
-    store_pure_hit(hit);  // NC, E (silent E->M upgrade) or M
+    store_pure_hit(c, slot);  // NC, E (silent E->M upgrade) or M
   }
   return AccessOutcome{lat, true, false};
 }
@@ -658,13 +665,14 @@ AccessOutcome Fabric::access_miss(CoreId c, LineAddr line, bool is_write, bool n
       nc ? nc_miss(c, line, is_write, now + lat) : coherent_miss(c, line, is_write, now + lat);
   lat += r.latency;
 
-  L1Line* nl = nullptr;
-  const L1Line victim = l1_[c]->fill(line, nc, r.grant, /*dirty=*/false, r.version, &nl);
+  std::uint32_t slot = L1Cache::kNoSlot;
+  const L1Line victim = l1_[c]->fill(line, nc, r.grant, /*dirty=*/false, r.version, &slot);
   if (victim.valid) handle_l1_victim(c, victim, now + lat);
+  L1Payload& nl = l1_[c]->at(slot);
   if (is_write) {
-    store_version_bump(*nl, line);
+    store_version_bump(nl, line);
   } else if (checker_ != nullptr) {
-    checker_->on_load(line, nl->version);
+    checker_->on_load(line, nl.version);
   }
   return AccessOutcome{lat, false, r.llc_hit};
 }
@@ -685,7 +693,7 @@ Fabric::FlushOutcome Fabric::flush_nc_lines(CoreId c, Cycle now) {
       const BankId b = home_of(line);
       (void)msg(c, b, MsgClass::kWriteback);
       ++st().l1_wb_nc;
-      LlcLine* ll = llc_[b]->find(line);
+      LlcPayload* ll = llc_[b]->find(line);
       count_llc_touch();
       if (ll != nullptr) {
         ll->dirty = true;
@@ -721,7 +729,7 @@ Fabric::FlushOutcome Fabric::flush_page_lines(CoreId c, PageNum frame, Cycle now
       (void)msg(c, b, MsgClass::kWriteback);
       if (old.nc) {
         ++st().l1_wb_nc;
-        LlcLine* ll = llc_[b]->find(line);
+        LlcPayload* ll = llc_[b]->find(line);
         count_llc_touch();
         if (ll != nullptr) {
           ll->dirty = true;
@@ -733,12 +741,12 @@ Fabric::FlushOutcome Fabric::flush_page_lines(CoreId c, PageNum frame, Cycle now
       } else {
         // Coherent M line of a reclassifying page.
         ++st().l1_wb_coh;
-        DirEntry* e = dir_[home_of(line)]->find(line);
+        DirPayload* e = dir_[home_of(line)]->find(line);
         count_dir_access(b);
         RACCD_ASSERT(e != nullptr, "M flush without directory entry");
         if (e->excl == c) e->excl = kNoCore;
         e->sharers &= ~bit(c);
-        LlcLine* ll = llc_[b]->find(line);
+        LlcPayload* ll = llc_[b]->find(line);
         RACCD_ASSERT(ll != nullptr, "M flush without LLC line");
         count_llc_touch();
         ll->dirty = true;
@@ -758,7 +766,7 @@ Fabric::ResizeOutcome Fabric::resize_dir_bank(BankId b, std::uint32_t new_active
   out.displaced = static_cast<std::uint32_t>(displaced.size());
   for (DirEntry& e : displaced) {
     // Conflict overflow under the new indexing: recall like an eviction.
-    (void)recall_sharers(b, e, kNoCore, now);
+    (void)recall_sharers(b, e.line, e, kNoCore, now);
     (void)drop_llc_line(b, e.line, /*due_to_dir=*/true, now);
     ++st().dir_evictions;
   }

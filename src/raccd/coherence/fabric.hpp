@@ -100,22 +100,24 @@ class Fabric {
   /// One load/store by core `c` to physical line `line` at time `now`.
   /// `nc` is the caller's classification (NCRT hit, or PT private page).
   AccessOutcome access(CoreId c, LineAddr line, bool is_write, bool nc, Cycle now) {
-    L1Line* l = l1_[c]->find(line);
-    return l != nullptr ? access_hit(c, *l, is_write, now)
-                        : access_miss(c, line, is_write, nc, now);
+    const std::uint32_t slot = l1_[c]->slot_of(line);
+    return slot != L1Cache::kNoSlot ? access_hit(c, slot, is_write, now)
+                                    : access_miss(c, line, is_write, nc, now);
   }
   /// access() split at its L1 probe, for a caller that already probed l1(c)
-  /// (the machine's replay loop): `hit` is c's resident copy of the line...
-  AccessOutcome access_hit(CoreId c, L1Line& hit, bool is_write, Cycle now);
+  /// (the machine's replay loop): `slot` holds c's resident copy of the line...
+  AccessOutcome access_hit(CoreId c, std::uint32_t slot, bool is_write, Cycle now);
   /// ...or `line` is absent from c's L1.
   AccessOutcome access_miss(CoreId c, LineAddr line, bool is_write, bool nc, Cycle now);
   /// What a store hit on an E, M or NC line does besides counting and the L1
   /// touch: the silent E->M upgrade and the version bump. access_hit() uses
   /// it for those stores; the machine's pure hits (DESIGN.md, "Conservative
   /// lookahead") do the rest themselves.
-  void store_pure_hit(L1Line& hit) {
+  void store_pure_hit(CoreId c, std::uint32_t slot) {
+    L1Cache& l1 = *l1_[c];
+    L1Payload& hit = l1.at(slot);
     if (hit.coh == Mesi::kExclusive) hit.coh = Mesi::kModified;
-    store_version_bump(hit, hit.line);
+    store_version_bump(hit, l1.line(slot));
   }
 
   /// Account `n` accesses as L1 hits that need no further fabric work: the
@@ -249,14 +251,15 @@ class Fabric {
   MissResult nc_miss(CoreId c, LineAddr line, bool is_write, Cycle now);
   Cycle upgrade_to_m(CoreId c, LineAddr line, Cycle now);
 
-  /// Invalidate all L1 copies listed by `e` (skipping `skip`), writing dirty
-  /// owner data back into the resident LLC line. Returns the slowest
-  /// inval/ack leg (invals run in parallel).
-  Cycle recall_sharers(BankId b, DirEntry& e, CoreId skip, Cycle now);
+  /// Invalidate all L1 copies of `line` listed by `e` (skipping `skip`),
+  /// writing dirty owner data back into the resident LLC line. Returns the
+  /// slowest inval/ack leg (invals run in parallel).
+  Cycle recall_sharers(BankId b, LineAddr line, DirPayload& e, CoreId skip, Cycle now);
   /// Remove the LLC line (writing it back to memory if dirty).
   Cycle drop_llc_line(BankId b, LineAddr line, bool due_to_dir, Cycle now);
-  /// Evict a directory entry: recall sharers, drop the LLC line, remove.
-  Cycle evict_dir_entry(BankId b, const DirEntry& victim, Cycle now);
+  /// Evict `line`'s directory entry `victim` (a copy): recall sharers, drop
+  /// the LLC line, remove.
+  Cycle evict_dir_entry(BankId b, LineAddr line, DirPayload victim, Cycle now);
   /// Fill `line` into its home LLC bank, evicting a victim if needed.
   Cycle llc_fill(BankId b, LineAddr line, bool nc, bool dirty, std::uint64_t version,
                  Cycle now);
@@ -273,7 +276,7 @@ class Fabric {
   void handle_l1_victim(CoreId c, const L1Line& victim, Cycle now);
   void mark_dir_dirty(BankId b, Cycle now);
 
-  void store_version_bump(L1Line& l, LineAddr line);
+  void store_version_bump(L1Payload& l, LineAddr line);
   void count_l1_hits(FabricStats& s, std::uint64_t n) noexcept {
     s.l1_accesses += n;
     s.l1_hits += n;

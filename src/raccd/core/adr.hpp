@@ -38,7 +38,6 @@ class AdrController {
   void poll_all(Cycle now);
 
   [[nodiscard]] const AdrStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const AdrConfig& config() const noexcept { return cfg_; }
 
  private:
   void consider_bank(BankId b, Cycle now);

@@ -273,8 +273,9 @@ void Machine::look_ahead(CoreId c) {
         vpage = page_of(r.vaddr);
         pframe = tlb.frame(slot);
       }
-      L1Line* l = l1.find(line_of((pframe << kPageShift) | page_offset(r.vaddr)));
-      if (l == nullptr || (r.is_write != 0 && l->coh == Mesi::kShared)) break;
+      const std::uint32_t l =
+          l1.slot_of(line_of((pframe << kPageShift) | page_offset(r.vaddr)));
+      if (l == L1Cache::kNoSlot || (r.is_write != 0 && l1.at(l).coh == Mesi::kShared)) break;
       cs.ahead[i - cs.ahead_base] = PureHit{l, slot};
       at += r.compute_gap + static_cast<Cycle>(r.repeat) * kL1HitCycles;
     }
@@ -302,8 +303,8 @@ void Machine::run_pure_hits(CoreId c, Cycle below) {
     const AccessRecord& r = recs[i];
     const PureHit& h = cs.ahead[i - cs.ahead_base];
     tlb.hit(h.tlb_slot);
-    l1.touch(*h.line);
-    if (r.is_write != 0) fabric_.store_pure_hit(*h.line);
+    l1.touch(h.l1_slot);
+    if (r.is_write != 0) fabric_.store_pure_hit(c, h.l1_slot);
     hits += r.repeat;
     clock += r.compute_gap + static_cast<Cycle>(r.repeat) * kL1HitCycles;
   }
@@ -338,9 +339,10 @@ void Machine::catch_up(CoreId t, LineAddr first, std::uint32_t lines) {
   // t's next ordered event becomes its first of them (if it comes sooner).
   // Its key still follows (N, r): a remote touch only shortens a window.
   const auto& recs = ts.trace.records();
+  const L1Cache& l1 = fabric_.l1(t);
   Cycle at = ts.clock;
   for (std::size_t i = ts.cursor; i < ts.ahead_end; ++i) {
-    if (ts.ahead[i - ts.ahead_base].line->line - first < lines) {
+    if (l1.line(ts.ahead[i - ts.ahead_base].l1_slot) - first < lines) {
       ts.ahead_end = i;
       keys_[t] = key_of(at, t);
       return;
@@ -490,8 +492,8 @@ void Machine::replay_task_ffwd(CoreId c) {
       const LineAddr line = line_of(paddr);
 
       bool nc = false;
-      L1Line* resident = fabric_.l1(c).find(line);
-      if (cs.classify && resident == nullptr) {
+      const std::uint32_t resident = fabric_.l1(c).slot_of(line);
+      if (cs.classify && resident == L1Cache::kNoSlot) {
         // Batch classification: each page goes through the ClassifierView
         // once per task; later accesses reuse the memoized verdict.
         nc = memo_page_class(cs.class_memo, vpage, [&] {
@@ -499,8 +501,8 @@ void Machine::replay_task_ffwd(CoreId c) {
         });
       }
       const AccessOutcome out =
-          resident != nullptr
-              ? fabric_.access_hit(c, *resident, r.is_write != 0, cs.clock)
+          resident != L1Cache::kNoSlot
+              ? fabric_.access_hit(c, resident, r.is_write != 0, cs.clock)
               : fabric_.access_miss(c, line, r.is_write != 0, nc, cs.clock);
       if (!out.l1_hit) n_miss += 1.0;
       if (r.repeat > 1) fabric_.count_l1_repeat_hits(r.repeat - 1);
@@ -619,8 +621,8 @@ void Machine::replay_record(CoreId c) {
   // (NCRT lookup / PT page class / always-NC; null view = always coherent).
   // Classification never fills c's L1, so the probe stays valid below.
   bool nc = false;
-  L1Line* resident = fabric_.l1(c).find(line);
-  if (resident == nullptr && cs.classify) {
+  const std::uint32_t resident = fabric_.l1(c).slot_of(line);
+  if (resident == L1Cache::kNoSlot && cs.classify) {
     const AccessClass ac = cs.classify(c, r.vaddr, paddr, tr.pframe, cs.clock + extra);
     extra += ac.extra_cycles;
     nc = ac.nc;
@@ -644,8 +646,8 @@ void Machine::replay_record(CoreId c) {
   }
 
   const AccessOutcome out =
-      resident != nullptr
-          ? fabric_.access_hit(c, *resident, r.is_write != 0, cs.clock + extra)
+      resident != L1Cache::kNoSlot
+          ? fabric_.access_hit(c, resident, r.is_write != 0, cs.clock + extra)
           : fabric_.access_miss(c, line, r.is_write != 0, nc, cs.clock + extra);
   Cycle stall = out.latency;
   if (!out.l1_hit) {

@@ -68,6 +68,7 @@ class Machine {
   // -- Introspection --------------------------------------------------------------
   [[nodiscard]] const SimConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] Fabric& fabric() noexcept { return fabric_; }
+  [[nodiscard]] const Tlb& tlb(CoreId c) const noexcept { return tlbs_[c]; }
   [[nodiscard]] Runtime& runtime() noexcept { return rt_; }
   [[nodiscard]] CoherenceBackend& backend() noexcept { return *backend_; }
   [[nodiscard]] AdrController& adr() noexcept { return adr_; }
@@ -114,7 +115,7 @@ class Machine {
  private:
   /// A pure hit found by look_ahead: where it translates and what it hits.
   struct PureHit {
-    L1Line* line = nullptr;
+    std::uint32_t l1_slot = 0;
     std::uint32_t tlb_slot = 0;
   };
 
@@ -138,7 +139,7 @@ class Machine {
     /// ClassifierView once per task (sorted by vpage, binary-searched).
     std::vector<std::pair<PageNum, bool>> class_memo;
     /// Lookahead window: records [cursor, ahead_end) are pure hits, pending;
-    /// ahead[i - ahead_base] holds record i's TLB slot and L1 line. The core's
+    /// ahead[i - ahead_base] holds record i's TLB and L1 slots. The core's
     /// next ordered event is record ahead_end, or the task's end.
     std::size_t ahead_base = 0;
     std::size_t ahead_end = 0;

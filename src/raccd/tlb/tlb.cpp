@@ -7,9 +7,7 @@ namespace raccd {
 Tlb::Tlb(std::uint32_t capacity)
     : capacity_(capacity), index_(capacity) {
   RACCD_ASSERT(capacity_ > 0, "TLB needs at least one entry");
-  entries_.resize(capacity_);
-  free_.reserve(capacity_);
-  for (std::uint32_t i = 0; i < capacity_; ++i) free_.push_back(capacity_ - 1 - i);
+  resize_unwritten(entries_, capacity_);
 }
 
 Tlb::Result Tlb::access(PageNum vpage, const PageTable& pt) {
@@ -25,6 +23,8 @@ Tlb::Result Tlb::access(PageNum vpage, const PageTable& pt) {
   if (!free_.empty()) {
     slot = free_.back();
     free_.pop_back();
+  } else if (fresh_ < capacity_) {
+    slot = fresh_++;
   } else {
     slot = tail_;
     ++stats_.evictions;
@@ -52,15 +52,11 @@ bool Tlb::invalidate(PageNum vpage) {
 }
 
 void Tlb::flush() {
-  // Walk the LRU chain (valid entries exactly) so the free list refills in
-  // MRU-to-LRU order, then reset the index wholesale.
-  for (std::uint32_t slot = head_; slot != kNoSlot;) {
-    const std::uint32_t next = entries_[slot].next;
-    entries_[slot].prev = entries_[slot].next = kNoSlot;
-    free_.push_back(slot);
-    slot = next;
-  }
+  // Every slot becomes free; slot numbers are handles, never observable, so
+  // the next fills simply start again from slot 0.
   index_.clear();
+  free_.clear();
+  fresh_ = 0;
   head_ = tail_ = kNoSlot;
   last_vpage_ = ~PageNum{0};
 }

@@ -13,6 +13,7 @@
 #include "raccd/common/field_list.hpp"
 #include "raccd/common/flat_map.hpp"
 #include "raccd/common/types.hpp"
+#include "raccd/common/uninit_vector.hpp"
 #include "raccd/mem/page_table.hpp"
 
 namespace raccd {
@@ -82,11 +83,13 @@ class Tlb {
   [[nodiscard]] const TlbStats& stats() const noexcept { return stats_; }
 
  private:
+  /// One slot, written in full when a translation is installed: index_ is
+  /// the only record of which slots are resident.
   struct Entry {
-    PageNum vpage = 0;
-    PageNum pframe = 0;
-    std::uint32_t prev = kNoSlot;
-    std::uint32_t next = kNoSlot;
+    PageNum vpage;
+    PageNum pframe;
+    std::uint32_t prev;
+    std::uint32_t next;
   };
 
   void unlink(std::uint32_t slot) noexcept {
@@ -113,9 +116,10 @@ class Tlb {
   }
 
   std::uint32_t capacity_;
-  std::vector<Entry> entries_;          // slot storage
-  std::vector<std::uint32_t> free_;     // free slots
-  OpenPageMap index_;                   // vpage -> slot
+  UninitVector<Entry> entries_;      // slot storage, allocated unwritten
+  std::uint32_t fresh_ = 0;          // slots [fresh_, capacity_) never used
+  std::vector<std::uint32_t> free_;  // used slots freed by invalidate()
+  OpenPageMap index_;                // vpage -> slot
   std::uint32_t head_ = kNoSlot;  // most recently used
   std::uint32_t tail_ = kNoSlot;  // least recently used
   // Single-entry filter for the common same-page-as-last-access case; keeps

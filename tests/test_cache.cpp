@@ -41,7 +41,7 @@ TEST(L1Cache, GeometryAndBasicFill) {
   EXPECT_EQ(l1.find(42), nullptr);
   const L1Line evicted = l1.fill(42, false, Mesi::kExclusive, false, 7);
   EXPECT_FALSE(evicted.valid);
-  L1Line* hit = l1.find(42);
+  L1Payload* hit = l1.find(42);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->coh, Mesi::kExclusive);
   EXPECT_EQ(hit->version, 7u);
@@ -55,7 +55,7 @@ TEST(L1Cache, ConflictEviction) {
   const LineAddr a = 0, b = 256, c = 512;
   l1.fill(a, false, Mesi::kShared, false, 0);
   l1.fill(b, false, Mesi::kModified, true, 3);
-  l1.touch(*l1.find(b));  // make a the PLRU victim
+  l1.touch(l1.slot_of(b));  // make a the PLRU victim
   const L1Line victim = l1.fill(c, false, Mesi::kShared, false, 0);
   EXPECT_TRUE(victim.valid);
   EXPECT_EQ(victim.line, a);
@@ -78,9 +78,9 @@ TEST(L1Cache, WalkVisitsAllValid) {
   L1Cache l1(L1Geometry{});
   for (LineAddr l = 0; l < 100; ++l) l1.fill(l, l % 2 == 0, Mesi::kShared, false, 0);
   unsigned total = 0, nc = 0;
-  l1.for_each_valid([&](const L1Line& line) {
+  l1.for_each_valid([&](LineAddr, const L1Payload& p) {
     ++total;
-    nc += line.nc ? 1 : 0;
+    nc += p.nc ? 1 : 0;
   });
   EXPECT_EQ(total, 100u);
   EXPECT_EQ(nc, 50u);
@@ -115,11 +115,35 @@ TEST(LlcBank, FillEvictProtocol) {
   // Caller must evict the victim before filling.
   bank.invalidate(victim.line);
   bank.fill(64, true, true, 11);
-  LlcLine* found = bank.find(64);
+  LlcPayload* found = bank.find(64);
   ASSERT_NE(found, nullptr);
   EXPECT_TRUE(found->nc);
   EXPECT_TRUE(found->dirty);
   EXPECT_EQ(bank.valid_lines(), 8u);
+}
+
+TEST(WayArray, FreshArrayIsEmptyAndPayloadsPoisonedInDebug) {
+  WayArray<LlcPayload> ways(4, 8);
+  EXPECT_EQ(ways.valid_count(), 0u);
+  for (std::uint32_t set = 0; set < 4; ++set) {
+    EXPECT_EQ(ways.free_slot(set), set * 8);
+    EXPECT_EQ(ways.find(set, 0), (WayArray<LlcPayload>::kNoSlot));
+  }
+#ifndef NDEBUG
+  // Nothing writes a payload before its fill; debug builds fill them with a
+  // pattern so that a read before fill cannot pass on zeroed memory.
+  const auto* bytes = reinterpret_cast<const unsigned char*>(&ways.at(0));
+  for (std::size_t i = 0; i < 32 * sizeof(LlcPayload); ++i) EXPECT_EQ(bytes[i], kPayloadPoison);
+#endif
+  ways.install(ways.free_slot(2), 42) = LlcPayload{7, true, false};
+  EXPECT_EQ(ways.find(2, 42), 16u);
+  EXPECT_EQ(ways.line(16), 42u);
+  EXPECT_TRUE(ways.at(16).dirty);
+  const LlcLine old = ways.take(16);
+  EXPECT_TRUE(old.valid);
+  EXPECT_EQ(old.line, 42u);
+  EXPECT_EQ(old.version, 7u);
+  EXPECT_EQ(ways.valid_count(), 0u);
 }
 
 }  // namespace

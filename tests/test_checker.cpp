@@ -89,7 +89,7 @@ TEST(Checker, ScanDetectsDirtySharedCopy) {
   Fabric fabric(small_fabric_config(), nullptr);
   const LineAddr l = line_in_bank(3, 2);
   fabric.access(0, l, false, false, 0);
-  L1Line* line = fabric.l1(0).find(l);
+  L1Payload* line = fabric.l1(0).find(l);
   ASSERT_NE(line, nullptr);
   line->coh = Mesi::kShared;
   line->dirty = true;  // corrupt: dirty outside M

@@ -16,7 +16,7 @@ DirGeometry small_geo() {
 TEST(Directory, AllocFindRemove) {
   DirectoryBank d(small_geo());
   EXPECT_EQ(d.find(5), nullptr);
-  DirEntry& e = d.alloc(5);
+  DirPayload& e = d.alloc(5);
   e.sharers = 0b11;
   e.excl = kNoCore;
   ASSERT_NE(d.find(5), nullptr);

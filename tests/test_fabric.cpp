@@ -37,10 +37,10 @@ TEST_F(FabricTest, ColdLoadGrantsExclusive) {
   const auto out = load(0, l);
   EXPECT_FALSE(out.l1_hit);
   EXPECT_FALSE(out.llc_hit);
-  const L1Line* line = fabric_.l1(0).find(l);
+  const L1Payload* line = fabric_.l1(0).find(l);
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->coh, Mesi::kExclusive);
-  const DirEntry* e = fabric_.dir(1).find(l);
+  const DirPayload* e = fabric_.dir(1).find(l);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->excl, 0u);
   EXPECT_EQ(e->sharers, 1u);
@@ -55,7 +55,7 @@ TEST_F(FabricTest, SecondReaderDowngradesToShared) {
   EXPECT_TRUE(out.llc_hit);
   EXPECT_EQ(fabric_.l1(0).find(l)->coh, Mesi::kShared);
   EXPECT_EQ(fabric_.l1(1).find(l)->coh, Mesi::kShared);
-  const DirEntry* e = fabric_.dir(0).find(l);
+  const DirPayload* e = fabric_.dir(0).find(l);
   EXPECT_EQ(e->excl, kNoCore);
   EXPECT_EQ(e->sharers, 0b11u);
   EXPECT_EQ(fabric_.stats().owner_probes, 1u);
@@ -85,7 +85,7 @@ TEST_F(FabricTest, StoreHitOnSharedUpgradesAndInvalidates) {
   EXPECT_EQ(fabric_.l1(1).find(l)->coh, Mesi::kModified);
   EXPECT_EQ(fabric_.l1(0).find(l), nullptr);
   EXPECT_EQ(fabric_.l1(2).find(l), nullptr);
-  const DirEntry* e = fabric_.dir(3).find(l);
+  const DirPayload* e = fabric_.dir(3).find(l);
   EXPECT_EQ(e->excl, 1u);
   EXPECT_EQ(e->sharers, 0b10u);
   expect_clean_scan();
@@ -111,7 +111,7 @@ TEST_F(FabricTest, WriteAfterRemoteWriteTransfersOwnership) {
   store(2, l);
   EXPECT_EQ(fabric_.l1(0).find(l), nullptr);
   EXPECT_EQ(fabric_.l1(2).find(l)->coh, Mesi::kModified);
-  const DirEntry* e = fabric_.dir(1).find(l);
+  const DirPayload* e = fabric_.dir(1).find(l);
   EXPECT_EQ(e->excl, 2u);
   load(3, l);
   EXPECT_EQ(checker_.violations(), 0u);
@@ -247,7 +247,7 @@ TEST(FabricScale, SixtyFourCoreMeshWorks) {
   for (CoreId c = 1; c < 64; ++c) {
     fabric.access(c, l, false, false, t++);  // everyone reads
   }
-  const DirEntry* e = fabric.dir(fabric.home_of(l)).find(l);
+  const DirPayload* e = fabric.dir(fabric.home_of(l)).find(l);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(popcount64(e->sharers), 64u);
   // One writer invalidates all 63 other sharers.

@@ -37,10 +37,10 @@ TEST_F(FabricNcTest, NcMissBypassesDirectory) {
   access(0, l, false, true);
   EXPECT_EQ(fabric_.stats().dir_accesses, before);  // never touched
   EXPECT_EQ(fabric_.dir(1).find(l), nullptr);
-  const L1Line* line = fabric_.l1(0).find(l);
+  const L1Payload* line = fabric_.l1(0).find(l);
   ASSERT_NE(line, nullptr);
   EXPECT_TRUE(line->nc);
-  const LlcLine* ll = fabric_.llc(1).find(l);
+  const LlcPayload* ll = fabric_.llc(1).find(l);
   ASSERT_NE(ll, nullptr);
   EXPECT_TRUE(ll->nc);
   expect_clean_scan();
@@ -61,7 +61,7 @@ TEST_F(FabricNcTest, NcStoreWritebackReachesLlc) {
   EXPECT_EQ(out.lines, 1u);
   EXPECT_EQ(out.writebacks, 1u);
   EXPECT_EQ(fabric_.l1(0).find(l), nullptr);
-  const LlcLine* ll = fabric_.llc(0).find(l);
+  const LlcPayload* ll = fabric_.llc(0).find(l);
   ASSERT_NE(ll, nullptr);
   EXPECT_TRUE(ll->dirty);
   // Another core reading coherently must see the NC-written version
@@ -214,11 +214,11 @@ TEST_F(FabricNcTest, NcFlushMatchesFullScanAfterMixedTraffic) {
     };
     std::vector<Dropped> want;
     std::vector<LineAddr> kept;
-    fabric_.l1(0).for_each_valid([&](const L1Line& l) {
+    fabric_.l1(0).for_each_valid([&](LineAddr line, const L1Payload& l) {
       if (l.nc) {
-        want.push_back({l.line, l.dirty, l.version});
+        want.push_back({line, l.dirty, l.version});
       } else {
-        kept.push_back(l.line);
+        kept.push_back(line);
       }
     });
     std::uint64_t dirty = 0;
@@ -236,7 +236,7 @@ TEST_F(FabricNcTest, NcFlushMatchesFullScanAfterMixedTraffic) {
       if (!d.dirty) continue;
       // The written-back version landed in the LLC, or in memory if the
       // LLC no longer holds the line.
-      const LlcLine* ll = fabric_.llc(fabric_.topology().home_bank(d.line)).find(d.line);
+      const LlcPayload* ll = fabric_.llc(fabric_.topology().home_bank(d.line)).find(d.line);
       if (ll != nullptr) {
         EXPECT_TRUE(ll->dirty);
         EXPECT_EQ(ll->version, d.version);
@@ -289,9 +289,9 @@ TEST(L1NcDrop, VisitsNcLinesInSetMajorOrder) {
     }
     std::vector<L1Line> want;
     std::uint32_t coherent = 0;
-    l1.for_each_valid([&](const L1Line& l) {
+    l1.for_each_valid([&](LineAddr line, const L1Payload& l) {
       if (l.nc) {
-        want.push_back(l);
+        want.push_back(L1Line{l, line, true});
       } else {
         ++coherent;
       }

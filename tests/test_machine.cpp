@@ -375,5 +375,58 @@ TEST(ConservationLaws, HoldOnEveryRegisteredWorkload) {
   }
 }
 
+// A new Machine holds no line and no translation, whatever its unwritten
+// payload arrays contain: the tags (and the TLB index) alone say what is
+// resident. The tiny and small size presets, the scaled and paper machines,
+// directory ratios 1:1, 1:8 and 1:256, with and without ADR.
+TEST(MachineInit, FreshStructuresAreEmpty) {
+  for (const SizeClass size : {SizeClass::kTiny, SizeClass::kSmall}) {
+    for (const bool paper : {false, true}) {
+      for (const std::uint32_t ratio : {1u, 8u, 256u}) {
+        for (const bool adr : {false, true}) {
+          RunSpec spec;
+          spec.size = size;
+          spec.mode = CohMode::kRaCCD;
+          spec.paper_machine = paper;
+          spec.dir_ratio = ratio;
+          spec.adr = adr;
+          SCOPED_TRACE(spec.key());
+          Machine m(config_for(spec));
+          const Fabric& f = m.fabric();
+          const std::uint32_t cores = f.config().cores;
+          const auto count = [](const auto& bank) {
+            std::uint32_t n = 0;
+            bank.for_each_valid([&](LineAddr, const auto&) { ++n; });
+            return n;
+          };
+          for (CoreId c = 0; c < cores; ++c) {
+            EXPECT_EQ(f.l1(c).valid_lines(), 0u);
+            EXPECT_EQ(count(f.l1(c)), 0u);
+            EXPECT_EQ(f.llc(c).valid_lines(), 0u);
+            EXPECT_EQ(count(f.llc(c)), 0u);
+            EXPECT_EQ(f.dir(c).valid_entries(), 0u);
+            EXPECT_EQ(count(f.dir(c)), 0u);
+            EXPECT_EQ(m.tlb(c).size(), 0u);
+          }
+          // Probe every set of the largest structure (and a far line) in
+          // every L1, LLC bank, directory bank and TLB.
+          const LineAddr span = static_cast<LineAddr>(f.config().llc.lines_per_bank) * cores;
+          for (LineAddr line = 0; line < span; line += 7) {
+            for (CoreId c = 0; c < cores; ++c) {
+              ASSERT_EQ(f.l1(c).find(line), nullptr) << "line " << line;
+              ASSERT_EQ(f.llc(c).find(line), nullptr) << "line " << line;
+              ASSERT_EQ(f.dir(c).find(line), nullptr) << "line " << line;
+            }
+          }
+          for (CoreId c = 0; c < cores; ++c) {
+            EXPECT_EQ(f.l1(c).find(LineAddr{1} << 40), nullptr);
+            for (PageNum v = 0; v < 1024; ++v) ASSERT_EQ(m.tlb(c).peek(v), Tlb::kNoSlot);
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace raccd

@@ -35,32 +35,33 @@
 namespace raccd {
 namespace {
 
-/// Brute-force oracle for a tag probe: the valid entry holding `line`, found
-/// by scanning every valid entry of the structure (never more than one).
-template <typename Entry, typename Bank>
-const Entry* scan_find(const Bank& bank, LineAddr line) {
-  const Entry* hit = nullptr;
-  bank.for_each_valid([&](const Entry& e) {
-    if (e.line == line) {
+/// Brute-force oracle for a tag probe: the payload of the valid entry
+/// holding `line`, found by scanning every valid entry of the structure
+/// (never more than one).
+template <typename Payload, typename Bank>
+const Payload* scan_find(const Bank& bank, LineAddr line) {
+  const Payload* hit = nullptr;
+  bank.for_each_valid([&](LineAddr l, const Payload& p) {
+    if (l == line) {
       EXPECT_EQ(hit, nullptr) << "line " << line << " resident twice";
-      hit = &e;
+      hit = &p;
     }
   });
   return hit;
 }
 
 /// Valid entries in `set`, by the same full scan.
-template <typename Entry, typename Bank>
+template <typename Bank>
 std::uint32_t scan_set_count(const Bank& bank, std::uint32_t set) {
   std::uint32_t n = 0;
-  bank.for_each_valid([&](const Entry& e) { n += bank.set_of(e.line) == set ? 1 : 0; });
+  bank.for_each_valid([&](LineAddr l, const auto&) { n += bank.set_of(l) == set ? 1 : 0; });
   return n;
 }
 
-template <typename Entry, typename Bank>
+template <typename Bank>
 std::uint32_t scan_count(const Bank& bank) {
   std::uint32_t n = 0;
-  bank.for_each_valid([&](const Entry&) { ++n; });
+  bank.for_each_valid([&](LineAddr, const auto&) { ++n; });
   return n;
 }
 
@@ -204,35 +205,35 @@ TEST(SoaTags, L1FindMatchesScanUnderRandomTraffic) {
   Rng rng(13);
   for (int i = 0; i < 50000; ++i) {
     const LineAddr line = rng.next_below(2048);  // 4x capacity: many conflicts
-    const L1Line* expect = scan_find<L1Line>(view, line);
+    const L1Payload* expect = scan_find<L1Payload>(view, line);
     ASSERT_EQ(view.find(line), expect) << "line " << line;
     switch (rng.next_below(3)) {
       case 0:
-        if (expect != nullptr) l1.touch(*expect);
+        if (expect != nullptr) l1.touch(view.slot_of(line));
         break;
       case 1: {
         if (expect != nullptr) break;
-        const bool full = scan_set_count<L1Line>(view, l1.set_of(line)) == l1.ways();
+        const bool full = scan_set_count(view, l1.set_of(line)) == l1.ways();
         const L1Line victim = l1.fill(line, false, Mesi::kShared, false, i);
         EXPECT_EQ(victim.valid, full);
         if (victim.valid) {
           EXPECT_EQ(l1.set_of(victim.line), l1.set_of(line));
           EXPECT_EQ(view.find(victim.line), nullptr);
         }
-        const L1Line* got = view.find(line);
+        const L1Payload* got = view.find(line);
         ASSERT_NE(got, nullptr);
-        EXPECT_EQ(got, scan_find<L1Line>(view, line));
+        EXPECT_EQ(got, scan_find<L1Payload>(view, line));
         EXPECT_EQ(got->version, static_cast<std::uint64_t>(i));
         break;
       }
       default: {
         const L1Line old = l1.invalidate(line);
         EXPECT_EQ(old.valid, expect != nullptr);
-        EXPECT_EQ(scan_find<L1Line>(view, line), nullptr);
+        EXPECT_EQ(scan_find<L1Payload>(view, line), nullptr);
         break;
       }
     }
-    ASSERT_EQ(l1.valid_lines(), scan_count<L1Line>(view));
+    ASSERT_EQ(l1.valid_lines(), scan_count(view));
   }
 }
 
@@ -244,35 +245,35 @@ TEST(SoaTags, LlcFindMatchesScanUnderRandomTraffic) {
   Rng rng(14);
   for (int i = 0; i < 50000; ++i) {
     const LineAddr line = rng.next_below(4096) << geo.bank_bits;
-    const LlcLine* expect = scan_find<LlcLine>(view, line);
+    const LlcPayload* expect = scan_find<LlcPayload>(view, line);
     ASSERT_EQ(view.find(line), expect) << "line " << line;
     switch (rng.next_below(3)) {
       case 0:
-        if (expect != nullptr) llc.touch(*expect);
+        if (expect != nullptr) llc.touch(view.slot_of(line));
         break;
       case 1: {
         if (expect != nullptr) break;
         const LlcLine victim = llc.peek_victim(line);
         // A victim is named exactly when the set is full.
         EXPECT_EQ(victim.valid,
-                  scan_set_count<LlcLine>(view, llc.set_of(line)) == llc.ways());
+                  scan_set_count(view, llc.set_of(line)) == llc.ways());
         if (victim.valid) {
           EXPECT_EQ(llc.set_of(victim.line), llc.set_of(line));
           EXPECT_TRUE(llc.invalidate(victim.line).valid);  // it was resident
         }
         llc.fill(line, false, false, i);
-        ASSERT_EQ(view.find(line), scan_find<LlcLine>(view, line));
+        ASSERT_EQ(view.find(line), scan_find<LlcPayload>(view, line));
         EXPECT_EQ(view.find(line)->version, static_cast<std::uint64_t>(i));
         break;
       }
       default: {
         const LlcLine old = llc.invalidate(line);
         EXPECT_EQ(old.valid, expect != nullptr);
-        EXPECT_EQ(scan_find<LlcLine>(view, line), nullptr);
+        EXPECT_EQ(scan_find<LlcPayload>(view, line), nullptr);
         break;
       }
     }
-    ASSERT_EQ(llc.valid_lines(), scan_count<LlcLine>(view));
+    ASSERT_EQ(llc.valid_lines(), scan_count(view));
   }
 }
 
@@ -284,15 +285,15 @@ TEST(SoaTags, DirectoryFindMatchesScanAcrossResize) {
   constexpr LineAddr kLines = 2048;
   Rng rng(15);
   auto random_op = [&](LineAddr line, std::uint64_t op) {
-    const DirEntry* expect = scan_find<DirEntry>(view, line);
+    const DirPayload* expect = scan_find<DirPayload>(view, line);
     ASSERT_EQ(view.find(line), expect) << "line " << line;
     switch (op) {
       case 0:
-        if (expect != nullptr) dir.touch(*expect);
+        if (expect != nullptr) dir.touch(view.slot_of(line));
         break;
       case 1: {
         if (expect != nullptr) break;
-        const bool full = scan_set_count<DirEntry>(view, dir.set_of(line)) == dir.ways();
+        const bool full = scan_set_count(view, dir.set_of(line)) == dir.ways();
         EXPECT_EQ(dir.has_free_way(line), !full);
         if (full) {
           const DirEntry victim = dir.peek_victim(line);
@@ -301,15 +302,15 @@ TEST(SoaTags, DirectoryFindMatchesScanAcrossResize) {
           EXPECT_TRUE(dir.remove(victim.line));
         }
         dir.alloc(line).sharers = line;
-        EXPECT_EQ(view.find(line), scan_find<DirEntry>(view, line));
+        EXPECT_EQ(view.find(line), scan_find<DirPayload>(view, line));
         break;
       }
       default:
         EXPECT_EQ(dir.remove(line), expect != nullptr);
-        EXPECT_EQ(scan_find<DirEntry>(view, line), nullptr);
+        EXPECT_EQ(scan_find<DirPayload>(view, line), nullptr);
         break;
     }
-    ASSERT_EQ(dir.valid_entries(), scan_count<DirEntry>(view));
+    ASSERT_EQ(dir.valid_entries(), scan_count(view));
   };
   auto traffic = [&] {
     for (int i = 0; i < 20000; ++i) {
@@ -320,7 +321,7 @@ TEST(SoaTags, DirectoryFindMatchesScanAcrossResize) {
   // Power down (displacing overfull sets), traffic, power back up.
   for (const std::uint32_t sets : {dir.active_sets() / 2, dir.total_sets()}) {
     std::vector<LineAddr> before;
-    view.for_each_valid([&](const DirEntry& e) { before.push_back(e.line); });
+    view.for_each_valid([&](LineAddr l, const DirPayload&) { before.push_back(l); });
     std::vector<DirEntry> displaced;
     const std::uint32_t moved = dir.resize(sets, displaced);
     EXPECT_EQ(dir.active_sets(), sets);
@@ -328,15 +329,15 @@ TEST(SoaTags, DirectoryFindMatchesScanAcrossResize) {
     // Every entry either survives (re-indexed, payload intact) or is handed
     // back for recall because its new set overflowed.
     std::vector<LineAddr> after;
-    view.for_each_valid([&](const DirEntry& e) {
-      after.push_back(e.line);
-      EXPECT_EQ(e.sharers, e.line);
+    view.for_each_valid([&](LineAddr l, const DirPayload& e) {
+      after.push_back(l);
+      EXPECT_EQ(e.sharers, l);
     });
     for (const DirEntry& e : displaced) {
       ASSERT_TRUE(e.valid);
       EXPECT_EQ(e.sharers, e.line);
       EXPECT_EQ(view.find(e.line), nullptr);
-      EXPECT_EQ(scan_set_count<DirEntry>(view, dir.set_of(e.line)), dir.ways());
+      EXPECT_EQ(scan_set_count(view, dir.set_of(e.line)), dir.ways());
       after.push_back(e.line);
     }
     std::sort(before.begin(), before.end());
@@ -344,7 +345,7 @@ TEST(SoaTags, DirectoryFindMatchesScanAcrossResize) {
     EXPECT_EQ(before, after);
     for (LineAddr l = 0; l < kLines; ++l) {
       const LineAddr line = l << geo.bank_bits;
-      ASSERT_EQ(view.find(line), scan_find<DirEntry>(view, line)) << "line " << line;
+      ASSERT_EQ(view.find(line), scan_find<DirPayload>(view, line)) << "line " << line;
     }
     traffic();
   }
