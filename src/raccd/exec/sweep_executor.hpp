@@ -17,9 +17,10 @@
 //    (sampling variants dedup separately; a series only exists if the run
 //    executes) before any work is issued, so two workers never simulate the
 //    same uncached spec; duplicates are copied from the first instance
-//    after the sweep drains. Across *processes*, the sweep cache's unique
-//    temp-name + rename store keeps concurrent writers of one key safe
-//    (last writer wins with identical bytes — the model is deterministic).
+//    after the sweep drains. Across *processes*, the sweep cache's store,
+//    which links each entry in whole under its name, keeps concurrent
+//    writers of one key safe (each links identical bytes — the model is
+//    deterministic).
 //  * Failure containment — a spec that fails (unknown workload, functional
 //    verification, an exception out of the app) records its RunSpec::key()
 //    and error, cancels all queued specs, and lets in-flight specs drain;

@@ -1,14 +1,16 @@
 #include "raccd/harness/sweep_cache.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <charconv>
 #include <cstddef>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <string_view>
@@ -161,6 +163,7 @@ std::optional<SimStats> stats_from_text(const std::string& text) {
   SimStats s;
   std::vector<bool> seen(slots.size());
   bool version_ok = false;
+  std::size_t next = 0;  // the slot after the last one matched
   std::string_view rest = text;
   while (!rest.empty()) {
     const std::size_t nl = rest.find('\n');
@@ -175,12 +178,20 @@ std::optional<SimStats> stats_from_text(const std::string& text) {
       version_ok = parse_all(v, version) && version == kStatsFormatVersion;
       continue;
     }
-    const auto it = std::lower_bound(
-        slots.begin(), slots.end(), k,
-        [](const Slot& f, std::string_view key) { return f.key < key; });
-    if (it == slots.end() || it->key != k) continue;  // not a v5 key
-    if (!it->get(v, field(s, it->offset))) return std::nullopt;
-    seen[static_cast<std::size_t>(it - slots.begin())] = true;
+    // stats_to_text writes the slots in order, so the next line is almost
+    // always the next slot; anything else (a skipped gated block, a
+    // reordered, repeated or unknown key) takes the binary search.
+    std::size_t i = next;
+    if (i == slots.size() || slots[i].key != k) {
+      const auto it = std::lower_bound(
+          slots.begin(), slots.end(), k,
+          [](const Slot& f, std::string_view key) { return f.key < key; });
+      if (it == slots.end() || it->key != k) continue;  // not a v5 key
+      i = static_cast<std::size_t>(it - slots.begin());
+    }
+    if (!slots[i].get(v, field(s, slots[i].offset))) return std::nullopt;
+    seen[i] = true;
+    next = i + 1;
   }
   if (!version_ok) return std::nullopt;
   // Exactly the keys stats_to_text writes for these values: a missing one
@@ -208,54 +219,111 @@ namespace {
   return out + ".stats";
 }
 
+/// Closes the descriptor it holds when it goes out of scope.
+struct Fd {
+  int fd;
+  explicit Fd(int f) : fd(f) {}
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+  ~Fd() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
+bool write_all(int fd, std::string_view text) {
+  while (!text.empty()) {
+    const ssize_t n = ::write(fd, text.data(), text.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    text.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
 }  // namespace
 
+namespace detail {
+
+bool publish_by_rename(const std::string& path, std::string_view text) {
+  // The tmp name must be unique across every concurrent writer: pid
+  // (thread-id hashes can collide across processes) + thread id + a
+  // per-process sequence number (two stores from one worker can otherwise
+  // alias under recycled thread ids).
+  static std::atomic<unsigned long long> seq{0};
+  const std::string tmp =
+      path + strprintf(".tmp.%ld.%llu.%llu", static_cast<long>(::getpid()),
+                       static_cast<unsigned long long>(
+                           std::hash<std::thread::id>{}(std::this_thread::get_id())),
+                       seq.fetch_add(1, std::memory_order_relaxed));
+  const Fd out(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666));
+  if (out.fd < 0) return false;
+  if (write_all(out.fd, text) && ::rename(tmp.c_str(), path.c_str()) == 0) return true;
+  ::unlink(tmp.c_str());
+  return false;
+}
+
+}  // namespace detail
+
 std::optional<SimStats> cache_load(const std::string& dir, const std::string& key) {
-  std::error_code ec;
   const std::filesystem::path path = std::filesystem::path(dir) / key_filename(key);
-  if (!std::filesystem::exists(path, ec)) return std::nullopt;
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const Fd in(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (in.fd < 0) return std::nullopt;  // a miss
+  struct stat st {};
+  if (::fstat(in.fd, &st) != 0) return std::nullopt;
+  // Published entries are never written again, so the size is the entry's.
+  std::string text(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < text.size()) {
+    const ssize_t n = ::read(in.fd, text.data() + got, text.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return std::nullopt;
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  text.resize(got);
   return stats_from_text(text);
 }
 
 bool cache_store(const std::string& dir, const std::string& key, const SimStats& s) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return false;
-  if (!std::filesystem::is_directory(dir, ec)) return false;
-  // Write-to-temp + rename so concurrent executor workers (or bench
-  // binaries sharing one cache) never observe a truncated entry; the rename
-  // makes same-key races benign — the model is deterministic, so the last
-  // writer wins with identical bytes. The tmp name must be unique across
-  // every concurrent writer: pid (thread-id hashes can collide across
-  // processes) + thread id + a per-process sequence number (two stores from
-  // one worker can otherwise alias under recycled thread ids).
-  static std::atomic<unsigned long long> seq{0};
+  // Concurrent executor workers (or bench binaries sharing one cache) must
+  // never observe a truncated entry. The entry is written to an unnamed
+  // O_TMPFILE inode and linked in under its name once complete, so a crash
+  // leaves nothing behind and the directory is locked only for the link.
+  // Same-key races are benign: the model is deterministic, so every writer
+  // links identical bytes.
+  const std::string text = stats_to_text(s);
   const std::filesystem::path path = std::filesystem::path(dir) / key_filename(key);
-  const std::filesystem::path tmp =
-      path.string() +
-      strprintf(".tmp.%ld.%llu.%llu", static_cast<long>(::getpid()),
-                static_cast<unsigned long long>(
-                    std::hash<std::thread::id>{}(std::this_thread::get_id())),
-                seq.fetch_add(1, std::memory_order_relaxed));
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << stats_to_text(s);
-    if (!out) {
-      out.close();
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
+  const auto open_tmp = [&dir] {
+    return ::open(dir.c_str(), O_TMPFILE | O_WRONLY | O_CLOEXEC, 0666);
+  };
+  int fd = open_tmp();
+  if (fd < 0 && errno == ENOENT) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) return false;
+    fd = open_tmp();
   }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
+  if (fd < 0) {
+    // The filesystem has no O_TMPFILE: publish through a named temp file.
+    if (errno == EOPNOTSUPP || errno == EISDIR || errno == EINVAL) {
+      return detail::publish_by_rename(path.string(), text);
+    }
     return false;
   }
-  return true;
+  const Fd tmp(fd);
+  if (!write_all(tmp.fd, text)) return false;
+  const std::string proc = "/proc/self/fd/" + std::to_string(tmp.fd);
+  const auto link = [&] {
+    return ::linkat(AT_FDCWD, proc.c_str(), AT_FDCWD, path.c_str(), AT_SYMLINK_FOLLOW) == 0;
+  };
+  if (link()) return true;
+  if (errno != EEXIST) return false;
+  // An entry is already there, perhaps a garbled one: replace it. A reader
+  // between the unlink and the link sees a miss, never a torn entry. Should
+  // a concurrent store link the key in between, its entry holds the same
+  // bytes.
+  ::unlink(path.c_str());
+  return link() || errno == EEXIST;
 }
 
 }  // namespace raccd

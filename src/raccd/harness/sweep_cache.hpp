@@ -5,6 +5,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "raccd/sim/stats.hpp"
 
@@ -23,8 +24,17 @@ inline constexpr unsigned kStatsFormatVersion = 5;
 [[nodiscard]] std::optional<SimStats> cache_load(const std::string& dir,
                                                  const std::string& key);
 /// Store a result under `dir` (nested directories are created as needed).
-/// Returns false when the directory cannot be created or the write fails —
-/// callers decide whether to report (run_all does, under --verbose).
+/// The entry appears under its name complete or not at all, replacing any
+/// entry already there. Returns false when the directory cannot be created
+/// or the write fails — callers decide whether to report (run_all does,
+/// under --verbose).
 bool cache_store(const std::string& dir, const std::string& key, const SimStats& s);
+
+namespace detail {
+/// The store cache_store falls back to when the filesystem has no
+/// O_TMPFILE: write a uniquely named temp file beside `path`, then rename
+/// it onto `path`. Declared here for its test.
+bool publish_by_rename(const std::string& path, std::string_view text);
+}  // namespace detail
 
 }  // namespace raccd

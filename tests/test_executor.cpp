@@ -325,7 +325,9 @@ TEST(SweepExecutor, DuplicateSpecsSimulateOnceAndAgree) {
 // Two run_all invocations race the same uncached key in one shared cache
 // directory (concurrent processes sharing a cache, compressed into threads):
 // both must succeed, and the surviving entry must be a complete, loadable
-// stats file — the unique-temp-name + rename store guarantees no torn write.
+// stats file — each store writes an unnamed O_TMPFILE inode and links it in
+// whole (a named temp file renamed into place where the filesystem lacks
+// O_TMPFILE), so no reader sees a torn write.
 TEST(SweepExecutor, ConcurrentSweepsRacingSameKeyLeaveValidCache) {
   const std::string dir = "test_exec_cache_race";
   std::filesystem::remove_all(dir);

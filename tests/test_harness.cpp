@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <type_traits>
+#include <vector>
 
 #include "raccd/common/field_list.hpp"
 #include "raccd/harness/experiment.hpp"
@@ -138,6 +139,32 @@ TEST(StatsIo, EntryWithRetiredEnergyMirrorsLoadsToEqualValues) {
       },
       *want, *got);
   EXPECT_EQ(equal, leaves);
+}
+
+// The loader expects lines in the order stats_to_text writes them, but it
+// looks up any other key by name: the golden entry with its lines reversed,
+// a retired key in the middle and an earlier repeat of `cycles` loads to the
+// same values, and of repeated lines the last one wins.
+TEST(StatsIo, AcceptsLinesInAnyOrder) {
+  const std::string golden = read_file(RACCD_TEST_DATA_DIR "/stats_v5_golden.stats");
+  std::vector<std::string> lines;
+  std::istringstream in(golden);
+  for (std::string line; std::getline(in, line);) lines.push_back(line + "\n");
+  ASSERT_GT(lines.size(), 100u);
+  std::reverse(lines.begin(), lines.end());
+  lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(lines.size() / 2),
+               "l1_dyn_energy_pj=38.25\n");
+  std::string shuffled = "cycles=1\n";
+  for (const std::string& line : lines) shuffled += line;
+  ASSERT_NE(shuffled.find("cycles=19\n"), std::string::npos);
+
+  const auto got = stats_from_text(shuffled);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(stats_to_text(*got), golden);
+
+  const auto repeated = stats_from_text(shuffled + "cycles=7\n");
+  ASSERT_TRUE(repeated.has_value());
+  EXPECT_EQ(repeated->cycles, 7u);
 }
 
 TEST(StatsIo, RejectsWrongVersion) {
@@ -300,6 +327,57 @@ TEST(SweepCache, StoreAndLoad) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->cycles, 999u);
   EXPECT_FALSE(cache_load(dir, "missing-key").has_value());
+  std::filesystem::remove_all(dir);
+}
+
+std::vector<std::string> file_names(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  return names;
+}
+
+// An entry that does not load is a miss, and the store that follows must
+// replace it in place: no second file, no temp file left behind.
+TEST(SweepCache, StoreReplacesGarbledEntry) {
+  const std::string dir = "test_cache_garbled";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/unit-key.stats") << "format=5\ncycles=junk\n";
+  EXPECT_FALSE(cache_load(dir, "unit-key").has_value());
+
+  SimStats s;
+  s.cycles = 999;
+  s.tasks = 7;
+  EXPECT_TRUE(cache_store(dir, "unit-key", s));
+  const auto loaded = cache_load(dir, "unit-key");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(stats_to_text(*loaded), stats_to_text(s));
+  EXPECT_EQ(read_file(dir + "/unit-key.stats"), stats_to_text(s));
+  EXPECT_EQ(file_names(dir), std::vector<std::string>{"unit-key.stats"});
+  std::filesystem::remove_all(dir);
+}
+
+// The store for filesystems without O_TMPFILE publishes the same bytes
+// under the same name, replaces what is there and leaves no temp file.
+TEST(SweepCache, RenameFallbackReplacesEntry) {
+  const std::string dir = "test_cache_rename";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/unit-key.stats") << "junk";
+  SimStats s;
+  s.cycles = 999;
+  ASSERT_TRUE(cache_store(dir, "other-key", s));
+  EXPECT_TRUE(detail::publish_by_rename(dir + "/unit-key.stats", stats_to_text(s)));
+  EXPECT_EQ(read_file(dir + "/unit-key.stats"), read_file(dir + "/other-key.stats"));
+  const auto loaded = cache_load(dir, "unit-key");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->cycles, 999u);
+  std::vector<std::string> names = file_names(dir);
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"other-key.stats", "unit-key.stats"}));
+  EXPECT_FALSE(detail::publish_by_rename(dir + "/missing/unit-key.stats", "x"));
   std::filesystem::remove_all(dir);
 }
 
